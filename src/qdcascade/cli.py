@@ -382,6 +382,8 @@ def cmd_tomography(args) -> int:
     params, config, _ = load_run_spec(args.run_spec, args)
     if args.n_per_setting <= 0:
         raise ConfigError("--n-per-setting must be > 0")
+    if args.max_iterations <= 0:
+        raise ConfigError("--max-iterations must be > 0")
     rho_true = model.apply_multipair_mixing(model.monte_carlo_rho(params, config), params.k)
     settings = tomography.standard_settings(args.mode)
     records = tomography.simulate_counts(
@@ -426,6 +428,8 @@ def cmd_tomography(args) -> int:
             "log_likelihood": result.log_likelihood,
             "iterations": result.iterations,
             "converged": result.converged,
+            "message": result.message,
+            "gradient_norm": result.gradient_norm,
             "density_matrix": _density_matrix_doc(result.rho),
         }
         if not result.converged:

@@ -26,14 +26,20 @@ class EntanglementMetrics:
 
 def fidelity_phi_plus(rho) -> float:
     """Overlap with the Bell state (|HH> + |VV>)/sqrt(2), clamped to [0, 1]."""
-    rho = assert_density_matrix(rho)
+    return _fidelity_phi_plus(assert_density_matrix(rho))
+
+
+def _fidelity_phi_plus(rho: np.ndarray) -> float:
     value = float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))
     return min(max(value, 0.0), 1.0)
 
 
 def purity(rho) -> float:
     """Tr(rho^2); 1 for pure states, 1/4 for the maximally mixed state."""
-    rho = assert_density_matrix(rho)
+    return _purity(assert_density_matrix(rho))
+
+
+def _purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
@@ -49,7 +55,10 @@ def concurrence(rho) -> float:
     machine precision for rank-deficient states; eigenvalue noise down to
     -1e-10 is clamped to zero.
     """
-    rho = assert_density_matrix(rho)
+    return _concurrence(assert_density_matrix(rho))
+
+
+def _concurrence(rho: np.ndarray) -> float:
     p, v = np.linalg.eigh(rho)
     scale = np.sqrt(np.clip(p, 0.0, None))
     symmetric = v.conj().T @ _SPIN_FLIP @ v.conj()
@@ -76,9 +85,13 @@ def trace_distance(rho_a, rho_b) -> float:
 
 
 def metrics_from_rho(rho) -> EntanglementMetrics:
-    """Fidelity, purity and concurrence of a state in one bundle."""
+    """Fidelity, purity and concurrence of a state in one bundle.
+
+    The state is validated once and shared by the three figures.
+    """
+    rho = assert_density_matrix(rho)
     return EntanglementMetrics(
-        fidelity=fidelity_phi_plus(rho),
-        purity=purity(rho),
-        concurrence=concurrence(rho),
+        fidelity=_fidelity_phi_plus(rho),
+        purity=_purity(rho),
+        concurrence=_concurrence(rho),
     )

@@ -14,6 +14,7 @@ Planck constant in these units is :data:`~qdcascade.linalg.HBAR_UEV_PS`.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -341,7 +342,14 @@ def _branch_pair_vectors(s: float, shifts: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _averaged_rho(s: float, shifts: np.ndarray, t1: float, window: float | None,
                   weights: np.ndarray) -> np.ndarray:
-    """Weighted average over shifts of the emission-time averaged state."""
+    """Weighted average over shifts of the emission-time averaged state.
+
+    For each shift this is the emission-time average of
+    :func:`propagate_rho` applied to the zero-delay pair state, i.e. of the
+    projector on ``two_photon_state(l, j, delta, t)`` = (v + exp(-i delta
+    t / hbar) u)/sqrt2: forward evolution puts the relative phase on the
+    upper branch u, so the coherence is g u v^dag with g the phase average.
+    """
     shifts = np.asarray(shifts, dtype=float)
     weights = np.asarray(weights, dtype=float)
     u, v = _branch_pair_vectors(s, shifts)
@@ -393,6 +401,18 @@ def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.nd
     return sigma * ndtri(uniforms)
 
 
+@functools.cache
+def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, computed once per order.
+
+    The arrays are shared between calls, so they are returned read-only.
+    """
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
     """Spin-noise averaged two-photon density matrix.
 
@@ -402,11 +422,15 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
     integrates the same Gaussian with deterministic quadrature nodes. The
     multi-pair mixing channel is not applied here, see
     :func:`apply_multipair_mixing`.
+
+    Phase convention: the state is the emission-time average of
+    :func:`propagate_rho`, so the relative phase lands on the upper branch,
+    as in ``two_photon_state(l, j, ...)`` (see :func:`_averaged_rho`).
     """
     if params.sigma == 0.0:
         return time_averaged_rho(params.s, 0.0, params.t1, config.window)
     if config.quadrature == "gauss_hermite":
-        nodes, gh_weights = np.polynomial.hermite.hermgauss(config.gh_order)
+        nodes, gh_weights = _hermgauss(config.gh_order)
         shifts = np.sqrt(2.0) * params.sigma * nodes
         weights = gh_weights / np.sqrt(np.pi)
     else:

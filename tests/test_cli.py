@@ -297,3 +297,18 @@ class TestTomographyCommand:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["reconstruction"]["converged"] is False
         assert "converge" in capsys.readouterr().err
+
+    def test_reports_why_reconstruction_stopped(self, tmp_path):
+        spec = write_spec(tmp_path)
+        out = tmp_path / "tomo.json"
+        assert main(["tomography", str(spec), "--n-per-setting", "100000",
+                     "--out", str(out)]) == 0
+        reco = json.loads(out.read_text(encoding="utf-8"))["reconstruction"]
+        assert reco["message"].startswith("CONVERGENCE")
+        assert 0.0 <= reco["gradient_norm"] < 1e-3
+
+    def test_rejects_non_positive_budget(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        code = main(["tomography", str(spec), "--max-iterations", "0"])
+        assert code == 2
+        assert "--max-iterations" in capsys.readouterr().err

@@ -148,6 +148,24 @@ class TestBundleAndDistance:
         assert abs(bundle.purity - 1.0) < 1e-14
         assert abs(bundle.concurrence - 1.0) < 1e-14
 
+    def test_bundle_validates_once(self, monkeypatch):
+        import qdcascade.metrics as metrics_module
+
+        calls = []
+        original = metrics_module.assert_density_matrix
+
+        def counting(rho, *args, **kwargs):
+            calls.append(1)
+            return original(rho, *args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "assert_density_matrix", counting)
+        rho = random_density_matrix(np.random.default_rng(23))
+        bundle = metrics_from_rho(rho)
+        assert len(calls) == 1
+        assert bundle == EntanglementMetrics(fidelity_phi_plus(rho), purity(rho), concurrence(rho))
+        with pytest.raises(InvalidDensityMatrixError):
+            metrics_from_rho(np.eye(4))
+
     def test_trace_distance(self):
         assert trace_distance(PHI_PLUS_RHO, PHI_PLUS_RHO) == 0.0
         assert abs(trace_distance(PHI_PLUS_RHO, MIXED) - 0.75) < 1e-12

@@ -27,6 +27,7 @@ from qdcascade.model import (
     time_averaged_rho,
     two_photon_state,
 )
+from qdcascade.model import _averaged_rho, _hermgauss
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -254,6 +255,23 @@ class TestMonteCarloRho:
         mc = monte_carlo_rho(params, SimConfig(n_samples=200_000, seed=11))
         gh = monte_carlo_rho(params, SimConfig(quadrature="gauss_hermite"))
         assert np.abs(mc - gh).max() < 5e-3
+
+    def test_gauss_hermite_nodes_cached_read_only(self):
+        params = PhysicalParams(s=0.6, t1=430.0, sigma=0.5, k=1.0)
+        config = SimConfig(quadrature="gauss_hermite", gh_order=24)
+        first = monte_carlo_rho(params, config)
+        nodes, weights = _hermgauss(24)
+        assert _hermgauss(24)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        fresh_nodes, fresh_weights = np.polynomial.hermite.hermgauss(24)
+        assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
+        uncached = _averaged_rho(0.6, np.sqrt(2.0) * 0.5 * fresh_nodes, 430.0, None,
+                                 fresh_weights / np.sqrt(np.pi))
+        assert np.array_equal(first, uncached)
+        assert np.array_equal(monte_carlo_rho(params, config), first)
 
     def test_fidelity_monotone_in_each_parameter(self):
         # same seed couples the draws, so monotonicity holds per sample

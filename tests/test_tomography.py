@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from conftest import random_density_matrix
 from qdcascade.linalg import InvalidDensityMatrixError
@@ -22,6 +30,16 @@ from qdcascade.tomography import (
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 MIXED = np.eye(4, dtype=complex) / 4.0
+
+
+def state_log_likelihood(rho, records) -> float:
+    """Profiled Poisson log-likelihood of a given state, straight from the
+    Born probabilities (same constant as the reconstruction's)."""
+    probs = np.array([expected_probability(rho, r.setting) for r in records])
+    probs = np.clip(probs, 1e-300, None)
+    counts = np.array([float(r.counts) for r in records])
+    weights = np.array([float(r.acquisition_weight) for r in records])
+    return float(counts @ np.log(probs) - counts.sum() * np.log(weights @ probs))
 
 
 class TestStandardSettings:
@@ -196,6 +214,58 @@ class TestMLEReconstruct:
         assert not result.converged
         assert result.iterations == 2
 
+    def test_budget_must_be_positive(self):
+        records = simulate_counts(PHI_PLUS_RHO, standard_settings("sixteen_basis"), 1000)
+        with pytest.raises(ValueError):
+            mle_reconstruct(records, max_iterations=0)
+
+    def test_reports_why_it_stopped(self):
+        records = simulate_counts(PHI_PLUS_RHO, standard_settings("sixteen_basis"), 10**5)
+        done = mle_reconstruct(records)
+        assert done.converged and done.message.startswith("CONVERGENCE")
+        assert 0.0 <= done.gradient_norm < 1e-3
+        capped = mle_reconstruct(records, max_iterations=2)
+        assert "ITERATIONS" in capped.message
+        assert capped.gradient_norm > done.gradient_norm
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_reference_dot_at_1e5_converges(self, seed):
+        # Poisson draws on which a normalized-gradient ascent with an
+        # absolute stopping rule ran out of its 100,000-step budget.
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99)
+        rho = apply_multipair_mixing(
+            monte_carlo_rho(params, SimConfig(quadrature="gauss_hermite")), params.k
+        )
+        records = simulate_counts(rho, standard_settings("sixteen_basis"), 100_000,
+                                  seed=seed, poisson=True)
+        result = mle_reconstruct(records)
+        assert result.converged
+        assert result.log_likelihood >= state_log_likelihood(rho, records)
+
+    @hypothesis_settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        state_seed=st.integers(0, 2**32 - 1),
+        count_seed=st.integers(0, 2**32 - 1),
+        n_per_setting=st.sampled_from([10, 100, 1_000, 10_000, 100_000]),
+        purity_mix=st.floats(0.0, 1.0),
+    )
+    def test_reconstruction_is_physical_and_likely(self, state_seed, count_seed,
+                                                   n_per_setting, purity_mix):
+        # Blend a pure state with a full-rank one to cover near-pure inputs.
+        rng = np.random.default_rng(state_seed)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        rho = purity_mix * np.outer(psi, psi.conj()) + (1.0 - purity_mix) * random_density_matrix(rng)
+        records = simulate_counts(rho, standard_settings("sixteen_basis"), n_per_setting,
+                                  seed=count_seed, poisson=True)
+        result = mle_reconstruct(records)
+        out = result.rho
+        assert np.abs(out - out.conj().T).max() < 1e-14
+        assert abs(np.trace(out).real - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(out).min() >= -1e-12
+        truth = state_log_likelihood(rho, records)
+        assert result.log_likelihood >= truth - 1e-9 * max(1.0, abs(truth))
+
     def test_gradient_matches_finite_differences(self):
         from qdcascade.tomography import _gradient, _log_likelihood
 
@@ -253,3 +323,15 @@ def test_expected_probability_matches_born_rule():
     for setting in standard_settings("sixteen_basis"):
         ket = setting.product_ket()
         assert abs(expected_probability(rho, setting) - np.real(ket.conj() @ rho @ ket)) < 1e-14
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # mle_reconstruct imports scipy.optimize on first use, so importing the
+    # package stays cheap.
+    import qdcascade
+
+    code = ("import sys, qdcascade, qdcascade.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    src = str(Path(qdcascade.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
