@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -274,10 +274,7 @@ def cmd_window_sweep(args) -> int:
         raise ConfigError("windows must be strictly ascending")
     rows = []
     for window in windows:
-        windowed = model.SimConfig(
-            n_samples=config.n_samples, seed=config.seed, window=window,
-            quadrature=config.quadrature, gh_order=config.gh_order,
-        )
+        windowed = replace(config, window=window)
         # Dephasing-only figures: the multi-pair mixing channel is not part
         # of the window-filtered model.
         m = metrics.metrics_from_rho(model.monte_carlo_rho(params, windowed))
@@ -332,10 +329,7 @@ def _predicted_metric(entry: LiteratureEntry, sigma: float, config: model.SimCon
     # Upper-limit model: pure dephasing, no multi-pair mixing (k unknown for
     # literature sources).
     params = model.PhysicalParams(s=entry.s, t1=entry.t1, sigma=sigma, k=1.0)
-    windowed = model.SimConfig(
-        n_samples=config.n_samples, seed=config.seed, window=entry.window,
-        quadrature=config.quadrature, gh_order=config.gh_order,
-    )
+    windowed = replace(config, window=entry.window)
     m = metrics.metrics_from_rho(model.monte_carlo_rho(params, windowed))
     return m.fidelity if entry.reported_metric == "fidelity" else m.concurrence
 

@@ -317,31 +317,77 @@ def emission_phase_average(delta, t1: float, window: float | None = None):
     return complex(g[0]) if scalar else g
 
 
-def _branch_pair_vectors(s: float, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Photon-pair basis vectors through the upper and lower exciton branch.
+# The averaged state is linear in ten moments of the shift distribution.
+# With E = sqrt(s^2/4 + h^2), x = s/(2E) and y = h/E (x = 1, y = 0 at the
+# degenerate point s = h = 0), the gauge-invariant pair vectors through the
+# upper and lower exciton branch are u = P_u m and v = P_v m with
+# m = ((1+x)/2, y/2, (1-x)/2). Since y^2 = 1 - x^2, every entry of m m^T is
+# a combination of (1, x, x^2, y, xy), listed here per moment.
+_PAIR_UPPER = np.array([[1, 0, 0], [0, -1j, 0], [0, 1j, 0], [0, 0, 1]])
+_PAIR_LOWER = np.array([[0, 0, 1], [0, 1j, 0], [0, -1j, 0], [1, 0, 0]])
+_MOMENT_OUTER = np.zeros((5, 3, 3))
+for (_a, _b), _coef in {
+    (0, 0): (1, 2, 1, 0, 0),
+    (0, 1): (0, 0, 0, 1, 1),
+    (0, 2): (1, 0, -1, 0, 0),
+    (1, 1): (1, 0, -1, 0, 0),
+    (1, 2): (0, 0, 0, 1, -1),
+    (2, 2): (1, -2, 1, 0, 0),
+}.items():
+    _MOMENT_OUTER[:, _a, _b] = _MOMENT_OUTER[:, _b, _a] = np.array(_coef) / 4.0
 
-    Vectorized over the Overhauser shifts; returns (u, v) of shape (n, 4)
-    where u_n = conj(j_n) (x) j_n for the upper eigenstate j_n and v_n the
-    same through the lower one. These pair vectors are gauge invariant, so
-    no eigenvector phase convention is needed here.
+
+def _moment_map() -> np.ndarray:
+    """(16, 10) map from (real moments, complex moments) to rho before its
+    Hermitian part is taken: 0.5 (uu + vv) from <1, x, x^2, y, xy> and the
+    coherence u v^dag from <g {1, x, x^2, y, xy}>."""
+    def sandwich(left, right):
+        return np.einsum("ia,kab,jb->kij", left, _MOMENT_OUTER, right.conj()).reshape(5, 16)
+
+    populations = 0.5 * (sandwich(_PAIR_UPPER, _PAIR_UPPER) + sandwich(_PAIR_LOWER, _PAIR_LOWER))
+    return np.concatenate([populations, sandwich(_PAIR_UPPER, _PAIR_LOWER)]).T.copy()
+
+
+_RHO_FROM_MOMENTS = _moment_map()
+
+# Monte Carlo sums run over fixed chunks of the sample stream, so memory is
+# bounded for any n_samples. Part of the determinism contract: changing it
+# changes the summation order and with it the last bits of every output.
+CHUNK_SAMPLES = 65_536
+
+
+def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
+             weights) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted sums over shifts of (1, x, x^2, y, xy) and of g times each.
+
+    g is the emission phase average at the exciton splitting 2E. weights is
+    an array matching shifts or a scalar. Per-sample arrays are reduced with
+    ufunc sums rather than matrix products, which would hand them to a
+    multi-threaded BLAS.
     """
     half = 0.5 * s
     energy = np.sqrt(half * half + shifts * shifts)
-    a = half + energy
-    norm = np.sqrt(a * a + shifts * shifts)
-    degenerate = norm == 0.0  # only at s == 0 and h_z == 0
-    safe = np.where(degenerate, 1.0, norm)
-    j1 = np.where(degenerate, 1.0, a / safe).astype(complex)
-    j2 = -1j * (shifts / safe)
-    # The lower eigenstate is the orthogonal partner (j2, j1).
-    l1, l2 = j2, j1
-    u = np.stack([j1.conj() * j1, j1.conj() * j2, j2.conj() * j1, j2.conj() * j2], axis=1)
-    v = np.stack([l1.conj() * l1, l1.conj() * l2, l2.conj() * l1, l2.conj() * l2], axis=1)
-    return u, v
+    nonzero = energy > 0.0
+    x = np.divide(half, energy, out=np.ones_like(energy), where=nonzero)
+    y = np.divide(shifts, energy, out=np.zeros_like(energy), where=nonzero)
+    g = emission_phase_average(2.0 * energy, t1, window)
+    basis = np.empty((5, shifts.size))
+    basis[0] = weights
+    np.multiply(basis[0], x, out=basis[1])
+    np.multiply(basis[1], x, out=basis[2])
+    np.multiply(basis[0], y, out=basis[3])
+    np.multiply(basis[3], x, out=basis[4])
+    cross = (basis * g.real).sum(axis=1) + 1j * (basis * g.imag).sum(axis=1)
+    return basis.sum(axis=1), cross
+
+
+def _rho_from_moments(real: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    rho = (_RHO_FROM_MOMENTS @ np.concatenate([real, cross])).reshape(4, 4)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _averaged_rho(s: float, shifts: np.ndarray, t1: float, window: float | None,
-                  weights: np.ndarray) -> np.ndarray:
+                  weights) -> np.ndarray:
     """Weighted average over shifts of the emission-time averaged state.
 
     For each shift this is the emission-time average of
@@ -349,17 +395,11 @@ def _averaged_rho(s: float, shifts: np.ndarray, t1: float, window: float | None,
     projector on ``two_photon_state(l, j, delta, t)`` = (v + exp(-i delta
     t / hbar) u)/sqrt2: forward evolution puts the relative phase on the
     upper branch u, so the coherence is g u v^dag with g the phase average.
+    The sum 0.5 (uu + vv + g u v^dag + h.c.) is assembled by a constant
+    linear map from ten moments of the shifts (see :func:`_moments`).
     """
     shifts = np.asarray(shifts, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    u, v = _branch_pair_vectors(s, shifts)
-    delta = 2.0 * np.sqrt((0.5 * s) ** 2 + shifts * shifts)
-    g = emission_phase_average(delta, t1, window)
-    uu = (u * weights[:, None]).T @ u.conj()
-    vv = (v * weights[:, None]).T @ v.conj()
-    cross = (u * (weights * g)[:, None]).T @ v.conj()
-    rho = 0.5 * (uu + vv + cross + cross.conj().T)
-    return 0.5 * (rho + rho.conj().T)
+    return _rho_from_moments(*_moments(s, shifts, t1, window, weights))
 
 
 def time_averaged_rho(s: float, h_z: float, t1: float, window: float | None = None) -> np.ndarray:
@@ -375,7 +415,7 @@ def time_averaged_rho(s: float, h_z: float, t1: float, window: float | None = No
         raise ValueError("t1 must be > 0")
     if window is not None and not window > 0:
         raise ValueError("window must be > 0")
-    return _averaged_rho(s, np.array([float(h_z)]), t1, window, np.array([1.0]))
+    return _averaged_rho(s, np.array([float(h_z)]), t1, window, 1.0)
 
 
 def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.ndarray:
@@ -384,7 +424,9 @@ def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.nd
     Sample i is a pure function of (seed, start + i): it is derived from
     Philox counter block start + i keyed by the seed, so any contiguous
     chunk reproduces the matching slice of the full stream regardless of
-    how the work is partitioned.
+    how the work is partitioned. As a two-word Philox key this is
+    (seed, 0); the Poisson count draw of the tomography simulation reads
+    its own stream (seed, 1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -417,9 +459,13 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
     """Spin-noise averaged two-photon density matrix.
 
     Averages :func:`time_averaged_rho` over Overhauser shifts drawn from
-    N(0, sigma). Monte Carlo mode uses the counter-based sampler and is
-    bitwise deterministic for a given (seed, n_samples); gauss_hermite mode
-    integrates the same Gaussian with deterministic quadrature nodes. The
+    N(0, sigma). The state is a constant linear map of ten moments of the
+    shifts (see :func:`_averaged_rho`), so only those moments are averaged.
+    Monte Carlo mode adds them up over fixed chunks of
+    :data:`CHUNK_SAMPLES` draws of the counter-based sampler: memory does
+    not grow with n_samples, and the output is bitwise deterministic for a
+    given (seed, n_samples). gauss_hermite mode integrates the same
+    Gaussian with deterministic quadrature nodes, as one chunk. The
     multi-pair mixing channel is not applied here, see
     :func:`apply_multipair_mixing`.
 
@@ -433,10 +479,16 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
         nodes, gh_weights = _hermgauss(config.gh_order)
         shifts = np.sqrt(2.0) * params.sigma * nodes
         weights = gh_weights / np.sqrt(np.pi)
-    else:
-        shifts = overhauser_samples(config.seed, config.n_samples, params.sigma)
-        weights = np.full(shifts.size, 1.0 / shifts.size)
-    return _averaged_rho(params.s, shifts, params.t1, config.window, weights)
+        return _averaged_rho(params.s, shifts, params.t1, config.window, weights)
+    n = config.n_samples
+    real = np.zeros(5)
+    cross = np.zeros(5, dtype=complex)
+    for start in range(0, n, CHUNK_SAMPLES):
+        shifts = overhauser_samples(config.seed, min(CHUNK_SAMPLES, n - start), params.sigma, start)
+        chunk_real, chunk_cross = _moments(params.s, shifts, params.t1, config.window, 1.0)
+        real += chunk_real
+        cross += chunk_cross
+    return _rho_from_moments(real / n, cross / n)
 
 
 def apply_multipair_mixing(rho, k: float) -> np.ndarray:

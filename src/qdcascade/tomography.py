@@ -32,6 +32,9 @@ SIX_BASIS_LABELS = ("HH", "HV", "DD", "DA", "RR", "RL")
 SIXTEEN_BASIS_LABELS = tuple(a + b for a in "HVDR" for b in "HVDR")
 
 MLE_DEFAULT_MAX_ITERATIONS = 100_000
+# Second word of the two-word Philox key of the Poisson count draw. The
+# Overhauser sampler's key=seed is the two-word key (seed, 0).
+_POISSON_STREAM = 1
 # L-BFGS-B stopping rule on the count-scaled objective -ll/N: relative
 # change of the objective, and largest gradient component.
 _MLE_FTOL = 1e-12
@@ -117,7 +120,9 @@ def simulate_counts(rho, settings, n_per_setting: int, seed: int = 0,
 
     The expectation is n_per_setting times the Born-rule probability. With
     poisson=True the counts are Poisson draws around that mean, reproducible
-    for a given seed; otherwise the rounded expectations are returned.
+    for a given seed; otherwise the rounded expectations are returned. The
+    draws read the Philox stream keyed (seed, 1), apart from the Overhauser
+    sampler's stream keyed (seed, 0).
     """
     rho = assert_density_matrix(rho)
     if n_per_setting <= 0:
@@ -125,7 +130,8 @@ def simulate_counts(rho, settings, n_per_setting: int, seed: int = 0,
     means = np.array([max(expected_probability(rho, s), 0.0) for s in settings])
     means *= n_per_setting
     if poisson:
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        key = np.array([seed, _POISSON_STREAM], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         values = rng.poisson(means)
     else:
         values = np.round(means)
@@ -194,21 +200,13 @@ def _rho_of(theta: np.ndarray) -> np.ndarray:
     return gram / np.trace(gram).real
 
 
-def _probabilities(theta: np.ndarray, projectors: np.ndarray) -> np.ndarray:
-    rho = _rho_of(theta)
-    probs = np.real(np.einsum("ia,ab,ib->i", projectors.conj(), rho, projectors))
-    return np.clip(probs, _PROB_FLOOR, None)
+def _objective(theta, projectors, counts, weights) -> tuple[float, np.ndarray]:
+    """Log-likelihood and its gradient in theta, from one evaluation of T,
+    rho and the probabilities.
 
-
-def _log_likelihood(theta, projectors, counts, weights) -> float:
-    # Poisson likelihood with the overall flux profiled out, up to a
-    # counts-only constant.
-    probs = _probabilities(theta, projectors)
-    total = counts.sum()
-    return float(counts @ np.log(probs) - total * np.log(weights @ probs))
-
-
-def _gradient(theta, projectors, counts, weights) -> np.ndarray:
+    Poisson likelihood with the overall flux profiled out, up to a
+    counts-only constant.
+    """
     t = _triangular(theta)
     gram = t.conj().T @ t
     scale = np.trace(gram).real
@@ -216,6 +214,7 @@ def _gradient(theta, projectors, counts, weights) -> np.ndarray:
     probs = np.real(np.einsum("ia,ab,ib->i", projectors.conj(), rho, projectors))
     probs = np.clip(probs, _PROB_FLOOR, None)
     total = counts.sum()
+    ll = float(counts @ np.log(probs) - total * np.log(weights @ probs))
     dll_dp = counts / probs - total * weights / (weights @ probs)
     mapped = projectors @ t.T  # row i is T pi_i
     # d p_i / d theta_k for the entry (a_k, b_k) with coefficient c_k:
@@ -223,7 +222,7 @@ def _gradient(theta, projectors, counts, weights) -> np.ndarray:
     pair = np.conj(mapped)[:, _P_ROWS] * projectors[:, _P_COLS] * _P_COEF
     trace_part = 2.0 * np.real(np.conj(t[_P_ROWS, _P_COLS]) * _P_COEF)
     dp = (2.0 * np.real(pair) - probs[:, None] * trace_part[None, :]) / scale
-    return dll_dp @ dp
+    return ll, dll_dp @ dp
 
 
 def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
@@ -269,9 +268,21 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     data = (projectors, counts, weights)
     scale = max(counts.sum(), 1.0)
 
+    # The latest evaluation, keyed on the bytes of theta: L-BFGS-B accepts
+    # the point it evaluated last, so the history callback and the final
+    # result reuse it instead of evaluating again.
+    latest = {}
+
+    def evaluate(theta):
+        key = theta.tobytes()
+        if key not in latest:
+            latest.clear()
+            latest[key] = _objective(theta, *data)
+        return latest[key]
+
     def objective(theta):
-        return (-_log_likelihood(theta, *data) / scale,
-                -_gradient(theta, *data) / scale)
+        ll, gradient = evaluate(theta)
+        return -ll / scale, -gradient / scale
 
     # Imported here: scipy.optimize would add a few tenths of a second to
     # every `import qdcascade`.
@@ -279,10 +290,10 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
 
     theta0 = np.zeros(len(_PARAM_ENTRIES))
     theta0[:4] = 0.5  # T = I/2, the maximally mixed starting point
-    history = [_log_likelihood(theta0, *data)]
+    history = [evaluate(theta0)[0]]
     res = minimize(
         objective, theta0, jac=True, method="L-BFGS-B",
-        callback=lambda theta: history.append(_log_likelihood(theta, *data)),
+        callback=lambda theta: history.append(evaluate(theta)[0]),
         # A line search gives up after 20 evaluations, so maxiter, not
         # maxfun, is the budget that ends a long run.
         options={"maxiter": max_iterations, "maxfun": 100 * max_iterations,
@@ -290,7 +301,7 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     )
     return ReconstructionResult(
         rho=_rho_of(res.x),
-        log_likelihood=_log_likelihood(res.x, *data),
+        log_likelihood=evaluate(res.x)[0],
         iterations=int(res.nit),
         converged=bool(res.success),
         history=np.array(history),

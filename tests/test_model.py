@@ -1,10 +1,14 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from conftest import random_density_matrix, rk4_density_batch
+from conftest import outer_product_rho, random_density_matrix, rk4_density_batch
 from qdcascade.linalg import HBAR_UEV_PS, IDENTITY_2, assert_density_matrix, tensor
 from qdcascade.metrics import PHI_PLUS, fidelity_phi_plus
 from qdcascade.model import (
@@ -27,7 +31,7 @@ from qdcascade.model import (
     time_averaged_rho,
     two_photon_state,
 )
-from qdcascade.model import _averaged_rho, _hermgauss
+from qdcascade.model import CHUNK_SAMPLES, _averaged_rho, _hermgauss
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -228,6 +232,67 @@ class TestOverhauserSamples:
     def test_zero_sigma_degenerate(self):
         assert np.array_equal(overhauser_samples(1, 10, 0.0), np.zeros(10))
 
+    def test_stream_pinned(self):
+        # Bitwise values of the (seed, 0) stream past the first chunk.
+        assert overhauser_samples(1234, 3, 1.0, start=70_000).tolist() == [
+            1.2974778565246112, 1.412535630861472, 0.5226689454349199,
+        ]
+
+
+class TestMomentAverage:
+    # (s, window) pairs: degenerate and split doublets, the full average, the
+    # series branch of a tiny window, a typical and a long window.
+    CASES = [(s, window) for s in (0.0, 0.4, 3.0) for window in (None, 1e-3, 350.0, 1e5)]
+
+    @pytest.mark.parametrize("s, window", CASES)
+    def test_matches_outer_product_oracle(self, s, window):
+        rng = np.random.default_rng(self.CASES.index((s, window)))
+        shifts = np.concatenate([[0.0], rng.normal(scale=rng.uniform(0.05, 2.0), size=999)])
+        weights = rng.uniform(size=shifts.size)
+        weights /= weights.sum()
+        moment = _averaged_rho(s, shifts, 430.0, window, weights)
+        assert np.abs(moment - outer_product_rho(s, shifts, 430.0, window, weights)).max() <= 1e-13
+
+    def test_single_shift_matches_oracle(self):
+        for s, h in ((0.0, 0.0), (0.0, 0.7), (1.1, 0.0), (0.4, -2.5)):
+            expected = outer_product_rho(s, [h], 430.0, 350.0, [1.0])
+            assert np.abs(time_averaged_rho(s, h, 430.0, 350.0) - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, CHUNK_SAMPLES - 1, CHUNK_SAMPLES, CHUNK_SAMPLES + 1,
+                                   3 * CHUNK_SAMPLES + 17])
+    def test_chunk_boundaries(self, n):
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=1.0)
+        config = SimConfig(n_samples=n, seed=2024, window=350.0)
+        shifts = overhauser_samples(config.seed, n, params.sigma)
+        whole = _averaged_rho(params.s, shifts, params.t1, config.window, np.full(n, 1.0 / n))
+        assert np.abs(monte_carlo_rho(params, config) - whole).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [200_000, 2_000_000])
+    def test_memory_bounded(self, n):
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=1.0)
+        tracemalloc.start()
+        try:
+            monte_carlo_rho(params, SimConfig(n_samples=n, seed=9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @hypothesis_settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        s=st.floats(0.0, 20.0),
+        sigma=st.floats(0.0, 5.0),
+        window=st.one_of(st.none(), st.floats(1e-4, 1e5)),
+        quadrature=st.sampled_from(["monte_carlo", "gauss_hermite"]),
+    )
+    def test_states_are_physical(self, s, sigma, window, quadrature):
+        params = PhysicalParams(s=s, t1=430.0, sigma=sigma, k=1.0)
+        rho = monte_carlo_rho(params, SimConfig(n_samples=5_000, seed=13, window=window,
+                                                quadrature=quadrature))
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
 
 class TestMonteCarloRho:
     def test_zero_sigma_equals_fixed_shift(self):
@@ -239,8 +304,10 @@ class TestMonteCarloRho:
 
     def test_bitwise_deterministic(self):
         params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99)
-        config = SimConfig(n_samples=20_000, seed=77)
-        assert np.array_equal(monte_carlo_rho(params, config), monte_carlo_rho(params, config))
+        for config in (SimConfig(n_samples=20_000, seed=77),
+                       SimConfig(n_samples=3 * CHUNK_SAMPLES + 17, seed=5, window=350.0),
+                       SimConfig(quadrature="gauss_hermite", window=350.0)):
+            assert monte_carlo_rho(params, config).tobytes() == monte_carlo_rho(params, config).tobytes()
 
     def test_valid_density_matrix(self):
         params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99)

@@ -86,6 +86,18 @@ class TestSimulateCounts:
         c = simulate_counts(PHI_PLUS_RHO, settings, 10_000, seed=6, poisson=True)
         assert [r.counts for r in a] != [r.counts for r in c]
 
+    def test_poisson_stream_apart_from_sampler(self):
+        # The draw reads the Philox stream keyed (seed, 1), i.e. the integer
+        # key seed + 2**64, not the Overhauser sampler's stream keyed seed.
+        settings = standard_settings("sixteen_basis")
+        means = 10_000 * np.array([expected_probability(PHI_PLUS_RHO, s) for s in settings])
+        drawn = [r.counts for r in simulate_counts(PHI_PLUS_RHO, settings, 10_000, seed=5,
+                                                   poisson=True)]
+        own = np.random.Generator(np.random.Philox(key=5 + 2**64)).poisson(means)
+        shared = np.random.Generator(np.random.Philox(key=5)).poisson(means)
+        assert drawn == own.tolist()
+        assert drawn != shared.tolist()
+
     def test_rejects_invalid_state(self):
         with pytest.raises(InvalidDensityMatrixError):
             simulate_counts(np.eye(4), standard_settings("six_basis"), 100)
@@ -236,8 +248,11 @@ class TestMLEReconstruct:
         rho = apply_multipair_mixing(
             monte_carlo_rho(params, SimConfig(quadrature="gauss_hermite")), params.k
         )
-        records = simulate_counts(rho, standard_settings("sixteen_basis"), 100_000,
-                                  seed=seed, poisson=True)
+        settings = standard_settings("sixteen_basis")
+        means = 100_000 * np.array([max(expected_probability(rho, s), 0.0) for s in settings])
+        # The draws of the stream keyed (seed, 0), on which that ascent failed.
+        counts = np.random.Generator(np.random.Philox(key=seed)).poisson(means)
+        records = [CountRecord(s, int(c)) for s, c in zip(settings, counts)]
         result = mle_reconstruct(records)
         assert result.converged
         assert result.log_likelihood >= state_log_likelihood(rho, records)
@@ -267,7 +282,7 @@ class TestMLEReconstruct:
         assert result.log_likelihood >= truth - 1e-9 * max(1.0, abs(truth))
 
     def test_gradient_matches_finite_differences(self):
-        from qdcascade.tomography import _gradient, _log_likelihood
+        from qdcascade.tomography import _objective
 
         rng = np.random.default_rng(71)
         rho = random_density_matrix(rng)
@@ -276,14 +291,14 @@ class TestMLEReconstruct:
         counts = np.array([float(r.counts) for r in records])
         weights = np.ones(len(records))
         theta = rng.normal(scale=0.4, size=16)
-        analytic = _gradient(theta, projectors, counts, weights)
+        analytic = _objective(theta, projectors, counts, weights)[1]
         step = 1e-6
         for index in range(16):
             bump = np.zeros(16)
             bump[index] = step
             numeric = (
-                _log_likelihood(theta + bump, projectors, counts, weights)
-                - _log_likelihood(theta - bump, projectors, counts, weights)
+                _objective(theta + bump, projectors, counts, weights)[0]
+                - _objective(theta - bump, projectors, counts, weights)[0]
             ) / (2 * step)
             assert abs(analytic[index] - numeric) < 1e-3 * max(1.0, abs(numeric))
 
