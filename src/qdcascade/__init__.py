@@ -6,16 +6,7 @@ the biexciton-exciton decay, and provides the counting-experiment
 simulation and maximum-likelihood tomography used to characterize them.
 """
 
-from .linalg import (
-    HBAR_UEV_PS,
-    InvalidDensityMatrixError,
-    NotHermitianError,
-    NotPSDError,
-    eig_hermitian,
-    sqrt_psd,
-    tensor,
-    unitary_exp,
-)
+from .linalg import HBAR_UEV_PS, InvalidDensityMatrixError, tensor
 from .metrics import (
     EntanglementMetrics,
     NotNormalizedError,
@@ -33,18 +24,14 @@ from .model import (
     SpeciesParams,
     analytic_fidelity,
     apply_multipair_mixing,
-    build_hamiltonian,
     coherence_loss,
     emission_phase_average,
-    exciton_eigensystem,
     k_from_g2,
     monte_carlo_rho,
     overhauser_samples,
-    propagate_rho,
     sigma_from_composition,
     sigma_from_t2star,
     time_averaged_rho,
-    two_photon_state,
 )
 from .tomography import (
     BasisSetting,
@@ -71,9 +58,7 @@ __all__ = [
     "EntanglementMetrics",
     "InsufficientSettingsError",
     "InvalidDensityMatrixError",
-    "NotHermitianError",
     "NotNormalizedError",
-    "NotPSDError",
     "NuclearSpecies",
     "PhysicalParams",
     "ReconstructionResult",
@@ -82,14 +67,11 @@ __all__ = [
     "ZeroCountsError",
     "analytic_fidelity",
     "apply_multipair_mixing",
-    "build_hamiltonian",
     "coherence_loss",
     "concurrence",
     "concurrence_pure",
     "correlation_visibilities",
-    "eig_hermitian",
     "emission_phase_average",
-    "exciton_eigensystem",
     "fidelity_from_visibilities",
     "fidelity_phi_plus",
     "k_from_g2",
@@ -98,18 +80,14 @@ __all__ = [
     "mle_reconstruct",
     "monte_carlo_rho",
     "overhauser_samples",
-    "propagate_rho",
     "purity",
     "save_count_records_csv",
     "sigma_from_composition",
     "sigma_from_t2star",
     "simulate_counts",
-    "sqrt_psd",
     "standard_settings",
     "tensor",
     "time_averaged_rho",
     "trace_distance",
-    "two_photon_state",
-    "unitary_exp",
     "visibility",
 ]

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -71,6 +72,30 @@ def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown key '{unknown[0]}' in {context}")
 
 
+def _number(value, name: str, integer: bool = False):
+    """A finite number from a JSON value, a numeric string or a parsed flag.
+
+    Booleans are not numbers here. With integer=True the value must be
+    integral: an int, an integral float or an integer string.
+    """
+    kind = "an integer" if integer else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    try:
+        if integer and not isinstance(value, float):
+            return int(value)
+        number = float(value)
+    except (OverflowError, ValueError):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if integer:
+        if not number.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(number)
+    return number
+
+
 def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -96,12 +121,12 @@ def _parse_params(obj) -> model.PhysicalParams:
             raise ConfigError(f"missing key '{required}' in params")
 
     def opt(key):
-        return None if obj.get(key) is None else float(obj[key])
+        return None if obj.get(key) is None else _number(obj[key], f"'{key}' in params")
 
     try:
         return model.PhysicalParams(
-            s=float(obj["s_ueV"]),
-            t1=float(obj["t1_ps"]),
+            s=_number(obj["s_ueV"], "'s_ueV' in params"),
+            t1=_number(obj["t1_ps"], "'t1_ps' in params"),
             sigma=opt("sigma_ueV"),
             t2_star=opt("t2_star_ns"),
             k=opt("k"),
@@ -116,6 +141,9 @@ def _parse_params(obj) -> model.PhysicalParams:
 
 
 _CONFIG_KEYS = {"n_samples", "seed", "window_ps", "quadrature", "gh_order"}
+# (config key, command-line flag that overrides it)
+_CONFIG_FLAGS = (("n_samples", "samples"), ("seed", "seed"), ("quadrature", "quadrature"),
+                 ("gh_order", "gh_order"))
 
 
 def _parse_config(obj, args) -> model.SimConfig:
@@ -125,22 +153,17 @@ def _parse_config(obj, args) -> model.SimConfig:
         raise ConfigError("'config' must be a JSON object")
     _check_keys(obj, _CONFIG_KEYS, "config")
     merged = dict(obj)
-    if getattr(args, "samples", None) is not None:
-        merged["n_samples"] = args.samples
-    if getattr(args, "seed", None) is not None:
-        merged["seed"] = args.seed
-    if getattr(args, "quadrature", None) is not None:
-        merged["quadrature"] = args.quadrature
-    if getattr(args, "gh_order", None) is not None:
-        merged["gh_order"] = args.gh_order
+    for key, flag in _CONFIG_FLAGS:
+        if getattr(args, flag, None) is not None:
+            merged[key] = getattr(args, flag)
+    given = {key: _number(merged[key], f"'{key}' in config", integer=True)
+             for key in ("n_samples", "seed", "gh_order") if key in merged}
+    if "quadrature" in merged:
+        given["quadrature"] = str(merged["quadrature"])
+    if merged.get("window_ps") is not None:
+        given["window"] = _number(merged["window_ps"], "'window_ps' in config")
     try:
-        return model.SimConfig(
-            n_samples=int(merged.get("n_samples", 200_000)),
-            seed=int(merged.get("seed", 1234)),
-            window=None if merged.get("window_ps") is None else float(merged["window_ps"]),
-            quadrature=str(merged.get("quadrature", "monte_carlo")),
-            gh_order=int(merged.get("gh_order", 32)),
-        )
+        return model.SimConfig(**given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
@@ -240,7 +263,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     params, config, _ = load_run_spec(args.run_spec, args)
-    if args.s_min > args.s_max:
+    s_min = _number(args.s_min, "--s-min")
+    s_max = _number(args.s_max, "--s-max")
+    if s_min < 0:
+        raise ConfigError("--s-min must be >= 0")
+    if s_min > s_max:
         raise ConfigError("--s-min must not exceed --s-max")
     if args.n_points < 2:
         raise ConfigError("--n-points must be >= 2")
@@ -251,7 +278,7 @@ def cmd_sweep(args) -> int:
         model.sigma_from_t2star(T2_STAR_HIGH_NOISE_NS),
     ]
     rows = []
-    for s in np.linspace(args.s_min, args.s_max, args.n_points):
+    for s in np.linspace(s_min, s_max, args.n_points):
         fidelities = []
         for sigma in sigma_bands:
             point = model.PhysicalParams(s=float(s), t1=params.t1, sigma=sigma, k=params.k)
@@ -267,7 +294,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_window_sweep(args) -> int:
     params, config, _ = load_run_spec(args.run_spec, args)
-    windows = [float(w) for w in args.windows]
+    windows = [_number(w, "--windows") for w in args.windows]
     if any(w <= 0 for w in windows):
         raise ConfigError("windows must be positive")
     if any(b <= a for a, b in zip(windows, windows[1:])):
@@ -313,12 +340,13 @@ def _parse_literature(path) -> list[LiteratureEntry]:
         try:
             entries.append(LiteratureEntry(
                 label=str(obj["label"]),
-                t1=float(obj["t1_ps"]),
-                s=float(obj["s_ueV"]),
-                reported_value=float(obj["reported_value"]),
+                t1=_number(obj["t1_ps"], f"'t1_ps' in {context}"),
+                s=_number(obj["s_ueV"], f"'s_ueV' in {context}"),
+                reported_value=_number(obj["reported_value"], f"'reported_value' in {context}"),
                 reported_metric=str(obj["reported_metric"]),
-                t2_star_range=(float(rng[0]), float(rng[1])),
-                window=None if obj.get("window_ps") is None else float(obj["window_ps"]),
+                t2_star_range=tuple(_number(t, f"'t2_star_range_ns' in {context}") for t in rng),
+                window=(None if obj.get("window_ps") is None
+                        else _number(obj["window_ps"], f"'window_ps' in {context}")),
             ))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid {context}: {exc}") from exc

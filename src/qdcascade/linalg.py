@@ -8,7 +8,6 @@ import numpy as np
 # energies in micro-eV, times in ps.
 HBAR_UEV_PS = 658.2119569
 
-IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -17,14 +16,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-9
-
-
-class NotHermitianError(ValueError):
-    """Matrix deviates from Hermiticity beyond tolerance."""
-
-
-class NotPSDError(ValueError):
-    """Matrix has an eigenvalue below the PSD tolerance."""
 
 
 class InvalidDensityMatrixError(ValueError):
@@ -44,70 +35,6 @@ def hermitian_deviation(m) -> float:
     """max |m - m^dag| over all entries."""
     m = np.asarray(m)
     return float(np.abs(m - m.conj().T).max())
-
-
-def eig_hermitian(m, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors): eigenvalues sorted in descending
-    order, eigenvectors as matching orthonormal columns. Each column is
-    gauged so that its first component of modulus above 1e-12 is real and
-    positive, which makes the output reproducible up to degeneracies.
-    """
-    m = np.asarray(m, dtype=complex)
-    dev = hermitian_deviation(m)
-    if dev > tol:
-        raise NotHermitianError(f"matrix deviates from Hermiticity by {dev:.3e}")
-    w, v = np.linalg.eigh(m)
-    w = w[::-1]
-    v = np.ascontiguousarray(v[:, ::-1])
-    for col in range(v.shape[1]):
-        significant = np.flatnonzero(np.abs(v[:, col]) > 1e-12)
-        if significant.size:
-            lead = v[significant[0], col]
-            v[:, col] *= lead.conjugate() / abs(lead)
-    return w, v
-
-
-def unitary_exp(h, t: float, hbar: float = HBAR_UEV_PS) -> np.ndarray:
-    """exp(-i h t / hbar) for a Hermitian 2x2 matrix h (micro-eV), t in ps.
-
-    Uses the Pauli decomposition closed form, exact up to floating point.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2):
-        raise ValueError("unitary_exp expects a 2x2 matrix")
-    dev = hermitian_deviation(h)
-    if dev > HERMITICITY_TOL:
-        raise NotHermitianError(f"matrix deviates from Hermiticity by {dev:.3e}")
-    c0 = 0.5 * (h[0, 0] + h[1, 1]).real
-    cz = 0.5 * (h[0, 0] - h[1, 1]).real
-    cx = h[1, 0].real
-    cy = h[1, 0].imag
-    omega = np.sqrt(cx * cx + cy * cy + cz * cz)
-    phase = np.exp(-1j * c0 * t / hbar)
-    if omega == 0.0:
-        return phase * IDENTITY_2
-    theta = omega * t / hbar
-    axis = (cx * SIGMA_X + cy * SIGMA_Y + cz * SIGMA_Z) / omega
-    return phase * (np.cos(theta) * IDENTITY_2 - 1j * np.sin(theta) * axis)
-
-
-def sqrt_psd(m) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in [-PSD_TOL, 0) are treated as floating-point noise and
-    clamped to zero; anything more negative raises NotPSDError.
-    """
-    m = np.asarray(m, dtype=complex)
-    dev = hermitian_deviation(m)
-    if dev > HERMITICITY_TOL:
-        raise NotHermitianError(f"matrix deviates from Hermiticity by {dev:.3e}")
-    w, v = np.linalg.eigh(m)
-    if w.min() < -PSD_TOL:
-        raise NotPSDError(f"eigenvalue {w.min():.3e} below the PSD tolerance")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
 
 
 def assert_density_matrix(rho, trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .linalg import (
-    HBAR_UEV_PS,
-    IDENTITY_2,
-    IDENTITY_4,
-    assert_density_matrix,
-    eig_hermitian,
-    tensor,
-    unitary_exp,
-)
+from .linalg import HBAR_UEV_PS, IDENTITY_4, assert_density_matrix
 
 PS_PER_NS = 1e3
 PS_PER_US = 1e6
@@ -243,63 +235,6 @@ class SimConfig:
             raise ValueError("gh_order must lie in [3, 64]")
 
 
-def build_hamiltonian(s: float, h_z: float) -> np.ndarray:
-    """Bright-exciton Hamiltonian in the linear polarization basis, ueV.
-
-    The splitting enters on the diagonal as +-s/2 and the Overhauser shift
-    couples the two states off-diagonally with the phase that keeps the
-    matrix Hermitian: [[s/2, i h_z], [-i h_z, -s/2]].
-    """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    return np.array([[0.5 * s, 1j * h_z], [-1j * h_z, -0.5 * s]], dtype=complex)
-
-
-def exciton_eigensystem(h) -> tuple[np.ndarray, np.ndarray, float]:
-    """Orthonormal exciton eigenstates (upper, lower) and splitting delta_e >= 0."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2):
-        raise ValueError("exciton_eigensystem expects a 2x2 matrix")
-    w, v = eig_hermitian(h)
-    return v[:, 0].copy(), v[:, 1].copy(), float(w[0].real - w[1].real)
-
-
-def two_photon_state(j, l, delta_e: float, t: float) -> np.ndarray:
-    """Cascade two-photon ket for orthonormal exciton eigenstates j and l.
-
-    The first tensor slot (first emitted photon) carries the complex
-    conjugates of the exciton states; the branch through l accrues the
-    relative phase exp(-i delta_e t / hbar) over the emission delay t.
-    """
-    j = np.asarray(j, dtype=complex)
-    l = np.asarray(l, dtype=complex)
-    phase = np.exp(-1j * delta_e * t / HBAR_UEV_PS)
-    return (tensor(j.conj(), j) + phase * tensor(l.conj(), l)) / np.sqrt(2.0)
-
-
-def propagate_rho(rho0, h, t: float) -> np.ndarray:
-    """Evolve a two-photon density matrix over the emission delay t.
-
-    Only the second slot (the photon still stored as the exciton) evolves:
-    rho(t) = (I (x) U) rho0 (I (x) U)^dag with U = exp(-i h t / hbar).
-    """
-    rho0 = assert_density_matrix(rho0)
-    gate = tensor(IDENTITY_2, unitary_exp(np.asarray(h, dtype=complex), t))
-    return gate @ rho0 @ gate.conj().T
-
-
-def _expm1_ratio(x: np.ndarray) -> np.ndarray:
-    """(1 - exp(-x)) / x elementwise for complex x, series branch near zero."""
-    x = np.asarray(x, dtype=complex)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = 1.0 - xs / 2.0 + xs * xs / 6.0 - xs * xs * xs / 24.0
-    xl = x[~small]
-    out[~small] = (1.0 - np.exp(-xl)) / xl
-    return out
-
-
 def emission_phase_average(delta, t1: float, window: float | None = None):
     """Average of exp(-i delta t / hbar) over the exciton emission delay.
 
@@ -313,7 +248,11 @@ def emission_phase_average(delta, t1: float, window: float | None = None):
     if window is None:
         g = 1.0 / (rate * t1)
     else:
-        g = _expm1_ratio(rate * window) / _expm1_ratio(np.atleast_1d(window / t1 + 0j))
+        # (1 - exp(-x)) / x for x = rate * window over the same at x = window / T1;
+        # Re x > 0, so x is never zero.
+        x = rate * window
+        x0 = window / t1
+        g = (np.expm1(-x) / x) / (np.expm1(-x0) / x0)
     return complex(g[0]) if scalar else g
 
 
@@ -386,28 +325,13 @@ def _rho_from_moments(real: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def _averaged_rho(s: float, shifts: np.ndarray, t1: float, window: float | None,
-                  weights) -> np.ndarray:
-    """Weighted average over shifts of the emission-time averaged state.
-
-    For each shift this is the emission-time average of
-    :func:`propagate_rho` applied to the zero-delay pair state, i.e. of the
-    projector on ``two_photon_state(l, j, delta, t)`` = (v + exp(-i delta
-    t / hbar) u)/sqrt2: forward evolution puts the relative phase on the
-    upper branch u, so the coherence is g u v^dag with g the phase average.
-    The sum 0.5 (uu + vv + g u v^dag + h.c.) is assembled by a constant
-    linear map from ten moments of the shifts (see :func:`_moments`).
-    """
-    shifts = np.asarray(shifts, dtype=float)
-    return _rho_from_moments(*_moments(s, shifts, t1, window, weights))
-
-
 def time_averaged_rho(s: float, h_z: float, t1: float, window: float | None = None) -> np.ndarray:
     """Two-photon density matrix at fixed shift, averaged over emission times.
 
     The average runs over the exponential delay density exp(-t/T1)/T1, up to
-    the coincidence window when one is given. Computed in the exciton
-    eigenbasis through the closed-form phase average and rotated back.
+    the coincidence window when one is given. This is the one-shift case of
+    the moment engine: 0.5 (u u^dag + v v^dag + g u v^dag + h.c.), with g
+    the closed-form phase average of :func:`emission_phase_average`.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -415,7 +339,7 @@ def time_averaged_rho(s: float, h_z: float, t1: float, window: float | None = No
         raise ValueError("t1 must be > 0")
     if window is not None and not window > 0:
         raise ValueError("window must be > 0")
-    return _averaged_rho(s, np.array([float(h_z)]), t1, window, 1.0)
+    return _rho_from_moments(*_moments(s, np.array([float(h_z)]), t1, window, 1.0))
 
 
 def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.ndarray:
@@ -460,7 +384,7 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
 
     Averages :func:`time_averaged_rho` over Overhauser shifts drawn from
     N(0, sigma). The state is a constant linear map of ten moments of the
-    shifts (see :func:`_averaged_rho`), so only those moments are averaged.
+    shifts (see :func:`_moments`), so only those moments are averaged.
     Monte Carlo mode adds them up over fixed chunks of
     :data:`CHUNK_SAMPLES` draws of the counter-based sampler: memory does
     not grow with n_samples, and the output is bitwise deterministic for a
@@ -469,9 +393,12 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
     multi-pair mixing channel is not applied here, see
     :func:`apply_multipair_mixing`.
 
-    Phase convention: the state is the emission-time average of
-    :func:`propagate_rho`, so the relative phase lands on the upper branch,
-    as in ``two_photon_state(l, j, ...)`` (see :func:`_averaged_rho`).
+    Phase convention: with u and v the pair vectors conj(e) (x) e through
+    the upper and lower exciton eigenstate e, a pair emitted after the
+    delay t is (v + exp(-i delta t / hbar) u)/sqrt2. The stored exciton
+    evolves forward in time, so the relative phase lands on the upper
+    branch and the averaged coherence is g u v^dag, with g the phase
+    average at the exciton splitting delta.
     """
     if params.sigma == 0.0:
         return time_averaged_rho(params.s, 0.0, params.t1, config.window)
@@ -479,7 +406,7 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
         nodes, gh_weights = _hermgauss(config.gh_order)
         shifts = np.sqrt(2.0) * params.sigma * nodes
         weights = gh_weights / np.sqrt(np.pi)
-        return _averaged_rho(params.s, shifts, params.t1, config.window, weights)
+        return _rho_from_moments(*_moments(params.s, shifts, params.t1, config.window, weights))
     n = config.n_samples
     real = np.zeros(5)
     cross = np.zeros(5, dtype=complex)

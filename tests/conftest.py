@@ -1,12 +1,15 @@
-"""Shared test helpers: random states, fixed-step ODE oracles and the
-per-sample outer-product oracle of the spin-noise average."""
+"""Shared test helpers: random states, fixed-step ODE oracles, the
+Hamiltonian/propagator reference model of the cascade and the per-sample
+outer-product oracle of the spin-noise average."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from qdcascade.linalg import HBAR_UEV_PS
+from qdcascade.linalg import HBAR_UEV_PS, SIGMA_X, SIGMA_Y, SIGMA_Z, assert_density_matrix
 from qdcascade.model import emission_phase_average
+
+IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -32,8 +35,8 @@ def rk4_density_batch(rho0: np.ndarray, h_total: np.ndarray, t: np.ndarray,
                       n_steps: int) -> np.ndarray:
     """Fixed-step RK4 for i hbar d rho/dt = [H, rho], batched over axis 0.
 
-    Independent of the closed-form propagator under test: integrates the
-    commutator equation directly.
+    Independent of the closed-form propagator :func:`propagate_rho`:
+    integrates the commutator equation directly.
     """
     rho = np.array(rho0, dtype=complex)
     dt = (np.asarray(t, dtype=float) / n_steps).reshape(-1, 1, 1)
@@ -65,6 +68,73 @@ def rk4_unitary(h: np.ndarray, t: float, n_steps: int) -> np.ndarray:
         k4 = rhs(u + dt * k3)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return u
+
+
+def build_hamiltonian(s: float, h_z: float) -> np.ndarray:
+    """Bright-exciton Hamiltonian in the linear polarization basis, ueV.
+
+    The splitting enters on the diagonal as +-s/2 and the Overhauser shift
+    couples the two states off-diagonally with the phase that keeps the
+    matrix Hermitian: [[s/2, i h_z], [-i h_z, -s/2]].
+    """
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    return np.array([[0.5 * s, 1j * h_z], [-1j * h_z, -0.5 * s]], dtype=complex)
+
+
+def exciton_eigensystem(h) -> tuple[np.ndarray, np.ndarray, float]:
+    """Orthonormal exciton eigenstates (upper, lower) and splitting delta_e >= 0.
+
+    Each eigenvector is gauged so that its first component of modulus above
+    1e-12 is real and positive.
+    """
+    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+    lead = np.where(np.abs(v[0]) > 1e-12, v[0], v[1])
+    v = v * (lead.conj() / np.abs(lead))
+    return v[:, 1], v[:, 0], float(w[1] - w[0])
+
+
+def two_photon_state(j, l, delta_e: float, t: float) -> np.ndarray:
+    """Cascade two-photon ket for orthonormal exciton eigenstates j and l.
+
+    The first tensor slot (first emitted photon) carries the complex
+    conjugates of the exciton states; the branch through l accrues the
+    relative phase exp(-i delta_e t / hbar) over the emission delay t.
+    """
+    j = np.asarray(j, dtype=complex)
+    l = np.asarray(l, dtype=complex)
+    phase = np.exp(-1j * delta_e * t / HBAR_UEV_PS)
+    return (np.kron(j.conj(), j) + phase * np.kron(l.conj(), l)) / np.sqrt(2.0)
+
+
+def unitary_exp(h, t: float) -> np.ndarray:
+    """exp(-i h t / hbar) for a Hermitian 2x2 matrix h (ueV), t in ps.
+
+    Pauli-decomposition closed form, exact up to floating point.
+    """
+    h = np.asarray(h, dtype=complex)
+    c0 = 0.5 * (h[0, 0] + h[1, 1]).real
+    cz = 0.5 * (h[0, 0] - h[1, 1]).real
+    cx = h[1, 0].real
+    cy = h[1, 0].imag
+    omega = np.sqrt(cx * cx + cy * cy + cz * cz)
+    phase = np.exp(-1j * c0 * t / HBAR_UEV_PS)
+    if omega == 0.0:
+        return phase * IDENTITY_2
+    theta = omega * t / HBAR_UEV_PS
+    axis = (cx * SIGMA_X + cy * SIGMA_Y + cz * SIGMA_Z) / omega
+    return phase * (np.cos(theta) * IDENTITY_2 - 1j * np.sin(theta) * axis)
+
+
+def propagate_rho(rho0, h, t: float) -> np.ndarray:
+    """Evolve a two-photon density matrix over the emission delay t.
+
+    Only the second slot (the photon still stored as the exciton) evolves:
+    rho(t) = (I (x) U) rho0 (I (x) U)^dag with U = exp(-i h t / hbar).
+    """
+    rho0 = assert_density_matrix(rho0)
+    gate = np.kron(IDENTITY_2, unitary_exp(h, t))
+    return gate @ rho0 @ gate.conj().T
 
 
 def branch_pair_vectors(s: float, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

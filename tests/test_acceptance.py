@@ -9,8 +9,15 @@ import time
 
 import numpy as np
 
-from conftest import random_density_matrix, random_pure_state, rk4_density_batch
-from qdcascade.linalg import HBAR_UEV_PS, IDENTITY_2, tensor
+from conftest import (
+    IDENTITY_2,
+    build_hamiltonian,
+    propagate_rho,
+    random_density_matrix,
+    random_pure_state,
+    rk4_density_batch,
+)
+from qdcascade.linalg import HBAR_UEV_PS, tensor
 from qdcascade.metrics import (
     concurrence,
     concurrence_pure,
@@ -23,11 +30,9 @@ from qdcascade.model import (
     SimConfig,
     analytic_fidelity,
     apply_multipair_mixing,
-    build_hamiltonian,
     coherence_loss,
     monte_carlo_rho,
     overhauser_samples,
-    propagate_rho,
     sigma_from_t2star,
 )
 from qdcascade.tomography import (

@@ -1,0 +1,27 @@
+"""The public surface: what `qdcascade` exports, and what it no longer has."""
+
+import importlib
+
+import pytest
+
+import qdcascade
+
+# The Hamiltonian/propagator state path and the linear algebra only it used;
+# the reference versions the tests need live in conftest.py.
+REMOVED = (
+    "build_hamiltonian", "exciton_eigensystem", "two_photon_state", "propagate_rho",
+    "eig_hermitian", "unitary_exp", "sqrt_psd", "NotHermitianError", "NotPSDError",
+    "IDENTITY_2", "_averaged_rho", "_expm1_ratio",
+)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(qdcascade.__all__)) == len(qdcascade.__all__)
+    missing = [name for name in qdcascade.__all__ if not hasattr(qdcascade, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module", ["qdcascade", "qdcascade.model", "qdcascade.linalg"])
+def test_removed_names_are_gone(module):
+    namespace = importlib.import_module(module)
+    assert [name for name in REMOVED if hasattr(namespace, name)] == []

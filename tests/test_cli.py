@@ -312,3 +312,65 @@ class TestTomographyCommand:
         code = main(["tomography", str(spec), "--max-iterations", "0"])
         assert code == 2
         assert "--max-iterations" in capsys.readouterr().err
+
+
+class TestNumberInputs:
+    # Each input exits 2 with a message naming the offending value, rather
+    # than a traceback (non-finite values) or a silent truncation.
+    @pytest.mark.parametrize("section, key, token", [
+        ("params", "s_ueV", "NaN"),
+        ("params", "s_ueV", "Infinity"),
+        ("params", "s_ueV", '"nan"'),
+        ("params", "sigma_ueV", "NaN"),
+        ("config", "n_samples", "1000.9"),
+        ("config", "seed", "7.5"),
+        ("config", "gh_order", "32.7"),
+        ("config", "n_samples", "true"),
+    ])
+    def test_run_spec_value_rejected(self, tmp_path, capsys, section, key, token):
+        doc = {
+            "params": {"s_ueV": 0.4, "sigma_ueV": 0.41, "t1_ps": 430.0, "k": 0.99},
+            "config": {"n_samples": 5000, "seed": 42, "quadrature": "gauss_hermite"},
+        }
+        doc[section][key] = "@"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc).replace('"@"', token), encoding="utf-8")
+        assert main(["simulate", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert f"'{key}' in {section}" in captured.err
+        assert captured.out == ""
+
+    def test_window_sweep_nan_window(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        assert main(["window-sweep", str(spec), "--windows", "nan"]) == 2
+        assert "--windows must be finite" in capsys.readouterr().err
+
+    def test_sweep_nan_s_min(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        assert main(["sweep", str(spec), "--s-min", "nan", "--s-max", "1",
+                     "--n-points", "3"]) == 2
+        assert "--s-min must be finite" in capsys.readouterr().err
+
+    def test_sweep_negative_s_min(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        assert main(["sweep", str(spec), "--s-min", "-1", "--s-max", "1",
+                     "--n-points", "3"]) == 2
+        assert "--s-min must be >= 0" in capsys.readouterr().err
+
+    def test_literature_nan_value(self, tmp_path, capsys):
+        lit = tmp_path / "nan.json"
+        lit.write_text(json.dumps({"entries": [{
+            "label": "x", "t1_ps": 100.0, "s_ueV": 0.0, "reported_value": float("nan"),
+            "reported_metric": "fidelity", "t2_star_range_ns": [1.0, 2.0],
+        }]}), encoding="utf-8")
+        assert main(["compare", str(lit)]) == 2
+        assert "'reported_value' in entries[0] must be finite" in capsys.readouterr().err
+
+    def test_integral_float_and_numeric_string_accepted(self, tmp_path):
+        spec = write_spec(tmp_path, config={"n_samples": 5000.0, "seed": "42"})
+        reference = write_spec(tmp_path, name="reference.json")
+        out = tmp_path / "out.json"
+        expected = tmp_path / "expected.json"
+        assert main(["simulate", str(spec), "--out", str(out)]) == 0
+        assert main(["simulate", str(reference), "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()

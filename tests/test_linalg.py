@@ -1,27 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, rk4_unitary
+from conftest import IDENTITY_2, random_density_matrix, rk4_unitary, unitary_exp
 from qdcascade.linalg import (
     HBAR_UEV_PS,
-    IDENTITY_2,
     IDENTITY_4,
-    SIGMA_Y,
     SIGMA_Z,
     InvalidDensityMatrixError,
-    NotHermitianError,
-    NotPSDError,
     assert_density_matrix,
-    eig_hermitian,
-    sqrt_psd,
     tensor,
-    unitary_exp,
 )
-
-
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (a + a.conj().T)
 
 
 class TestTensor:
@@ -44,43 +32,9 @@ class TestTensor:
             assert abs(np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
 
 
-class TestEigHermitian:
-    def test_diagonal(self):
-        w, v = eig_hermitian(np.diag([1.0, -1.0]))
-        assert np.allclose(w, [1.0, -1.0])
-        assert np.allclose(v, IDENTITY_2)
-
-    def test_sigma_y_spectrum_and_phase_convention(self):
-        w, v = eig_hermitian(SIGMA_Y)
-        assert np.allclose(w, [1.0, -1.0])
-        assert np.allclose(v[:, 0], np.array([1.0, 1j]) / np.sqrt(2), atol=1e-12)
-        assert np.allclose(v[:, 1], np.array([1.0, -1j]) / np.sqrt(2), atol=1e-12)
-
-    def test_reconstruction_random_4x4(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            m = random_hermitian(rng, 4)
-            w, v = eig_hermitian(m)
-            assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() < 1e-9
-            # descending order, eigenvalue sum equals the trace
-            assert np.all(np.diff(w) <= 1e-12)
-            assert abs(w.sum() - np.trace(m).real) < 1e-9
-            assert np.abs(v.conj().T @ v - IDENTITY_4).max() < 1e-9
-
-    def test_residual_per_pair(self):
-        rng = np.random.default_rng(3)
-        m = random_hermitian(rng, 4)
-        w, v = eig_hermitian(m)
-        scale = np.linalg.norm(m)
-        for i in range(4):
-            assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) < 1e-9 * scale
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestUnitaryExp:
+    # The closed-form 2x2 propagator is the reference the cascade tests
+    # build on, so it is checked here against RK4 and its group properties.
     def test_zero_time(self):
         h = np.array([[0.3, 0.2j], [-0.2j, -0.3]])
         assert np.allclose(unitary_exp(h, 0.0), IDENTITY_2)
@@ -113,30 +67,6 @@ class TestUnitaryExp:
         h = 0.5 * (a + a.conj().T)
         t1, t2 = 123.4, 567.8
         assert np.abs(unitary_exp(h, t1) @ unitary_exp(h, t2) - unitary_exp(h, t1 + t2)).max() < 1e-10
-
-
-class TestSqrtPSD:
-    def test_identity(self):
-        assert np.allclose(sqrt_psd(IDENTITY_4), IDENTITY_4)
-
-    def test_diagonal(self):
-        assert np.allclose(sqrt_psd(np.diag([4.0, 1.0, 0.0, 0.0])), np.diag([2.0, 1.0, 0.0, 0.0]))
-
-    def test_reconstruction_random_psd(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            m = random_density_matrix(rng) * rng.uniform(0.5, 3.0)
-            r = sqrt_psd(m)
-            assert np.abs(r @ r - m).max() < 1e-8
-            assert np.abs(r - r.conj().T).max() < 1e-12
-
-    def test_clamps_noise_eigenvalues(self):
-        r = sqrt_psd(np.diag([1.0, 1.0, 1.0, -5e-11]))
-        assert np.all(np.linalg.eigvalsh(r) >= -1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
-            sqrt_psd(np.diag([1.0, 1.0, 1.0, -1e-6]))
 
 
 class TestDensityMatrixValidation:

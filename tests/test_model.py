@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -8,8 +9,17 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from conftest import outer_product_rho, random_density_matrix, rk4_density_batch
-from qdcascade.linalg import HBAR_UEV_PS, IDENTITY_2, assert_density_matrix, tensor
+from conftest import (
+    IDENTITY_2,
+    build_hamiltonian,
+    exciton_eigensystem,
+    outer_product_rho,
+    propagate_rho,
+    random_density_matrix,
+    rk4_density_batch,
+    two_photon_state,
+)
+from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix, tensor
 from qdcascade.metrics import PHI_PLUS, fidelity_phi_plus
 from qdcascade.model import (
     NuclearSpecies,
@@ -18,24 +28,23 @@ from qdcascade.model import (
     SpeciesParams,
     analytic_fidelity,
     apply_multipair_mixing,
-    build_hamiltonian,
     coherence_loss,
     emission_phase_average,
-    exciton_eigensystem,
     k_from_g2,
     monte_carlo_rho,
     overhauser_samples,
-    propagate_rho,
     sigma_from_composition,
     sigma_from_t2star,
     time_averaged_rho,
-    two_photon_state,
 )
-from qdcascade.model import CHUNK_SAMPLES, _averaged_rho, _hermgauss
+from qdcascade.model import CHUNK_SAMPLES, _hermgauss, _moments, _rho_from_moments
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
 
+# TestHamiltonian through TestPropagateRho check the reference model in
+# conftest.py (Hamiltonian, eigenstates, ket, closed-form propagator) that
+# the package's moment engine is compared against.
 class TestHamiltonian:
     def test_diagonal_at_zero_shift(self):
         assert np.allclose(build_hamiltonian(1.3, 0.0), np.diag([0.65, -0.65]))
@@ -207,6 +216,22 @@ class TestTimeAveragedRho:
         assert array_values[0] == 1.0
         assert abs(array_values[1] - value) < 1e-15
 
+    def test_windowed_phase_average_at_small_window(self):
+        # window/T1 = 1.03e-4, where 1 - exp(-x) cancels to ~4 digits. The
+        # reference sums (1 - exp(-x))/x = sum_k (-x)^k/(k+1)!, which has
+        # converged to rounding after ten terms for |x| < 2e-3.
+        def ratio(x):
+            return sum((-x) ** k / math.factorial(k + 1) for k in range(10))
+
+        t1 = 430.0
+        window = 1.03e-4 * t1
+        deltas = np.array([0.0, 0.4, 0.9124, 3.0, 20.0])
+        values = emission_phase_average(deltas, t1, window)
+        for delta, value in zip(deltas, values):
+            rate = 1.0 / t1 + 1j * delta / HBAR_UEV_PS
+            expected = ratio(rate * window) / ratio(window / t1)
+            assert abs(value - expected) <= 2e-15 * abs(expected)
+
     def test_valid_density_matrix(self):
         for window in (None, 120.0):
             rho = time_averaged_rho(0.9, 0.6, 500.0, window)
@@ -250,7 +275,7 @@ class TestMomentAverage:
         shifts = np.concatenate([[0.0], rng.normal(scale=rng.uniform(0.05, 2.0), size=999)])
         weights = rng.uniform(size=shifts.size)
         weights /= weights.sum()
-        moment = _averaged_rho(s, shifts, 430.0, window, weights)
+        moment = _rho_from_moments(*_moments(s, shifts, 430.0, window, weights))
         assert np.abs(moment - outer_product_rho(s, shifts, 430.0, window, weights)).max() <= 1e-13
 
     def test_single_shift_matches_oracle(self):
@@ -264,7 +289,8 @@ class TestMomentAverage:
         params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=1.0)
         config = SimConfig(n_samples=n, seed=2024, window=350.0)
         shifts = overhauser_samples(config.seed, n, params.sigma)
-        whole = _averaged_rho(params.s, shifts, params.t1, config.window, np.full(n, 1.0 / n))
+        whole = _rho_from_moments(*_moments(params.s, shifts, params.t1, config.window,
+                                            np.full(n, 1.0 / n)))
         assert np.abs(monte_carlo_rho(params, config) - whole).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [200_000, 2_000_000])
@@ -335,8 +361,8 @@ class TestMonteCarloRho:
             weights[0] = 0.0
         fresh_nodes, fresh_weights = np.polynomial.hermite.hermgauss(24)
         assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
-        uncached = _averaged_rho(0.6, np.sqrt(2.0) * 0.5 * fresh_nodes, 430.0, None,
-                                 fresh_weights / np.sqrt(np.pi))
+        uncached = _rho_from_moments(*_moments(0.6, np.sqrt(2.0) * 0.5 * fresh_nodes, 430.0,
+                                               None, fresh_weights / np.sqrt(np.pi)))
         assert np.array_equal(first, uncached)
         assert np.array_equal(monte_carlo_rho(params, config), first)
 
