@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 
@@ -35,35 +36,11 @@ T2_STAR_HIGH_NOISE_NS = 1.0
 BASIS_ORDER = "HHHVVHVV"
 
 OUTPUT_MODES = ("metrics", "density_matrix", "closed_form", "both")
-REPORTED_METRICS = ("fidelity", "concurrence")
+REPORTED_METRICS = ("fidelity", "concurrence")  # EntanglementMetrics field names
 
 
 class ConfigError(Exception):
     """Invalid input file or option; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class LiteratureEntry:
-    label: str
-    t1: float                      # ps
-    s: float                       # ueV
-    reported_value: float
-    reported_metric: str
-    t2_star_range: tuple[float, float]  # ns
-    window: float | None = None    # ps
-
-    def __post_init__(self) -> None:
-        if not self.t1 > 0:
-            raise ValueError("t1_ps must be > 0")
-        if self.s < 0:
-            raise ValueError("s_ueV must be >= 0")
-        if self.reported_metric not in REPORTED_METRICS:
-            raise ValueError(f"reported_metric must be one of {REPORTED_METRICS}")
-        low, high = self.t2_star_range
-        if not 0 < low <= high:
-            raise ValueError("t2_star_range_ns must be (low, high) with 0 < low <= high")
-        if self.window is not None and not self.window > 0:
-            raise ValueError("window_ps must be > 0")
 
 
 def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
@@ -106,79 +83,95 @@ def _load_json(path) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-_PARAM_KEYS = {
-    "s_ueV", "t1_ps", "sigma_ueV", "t2_star_ns", "k",
-    "g2_xx", "g2_x", "eta_p", "t1_xx_ps", "tau_s_us",
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _number_pair(value, name: str) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{name} must be [low, high]")
+    return _number(value[0], name), _number(value[1], name)
+
+
+# One table of (JSON key, field) pairs per JSON record, in the order of the
+# output echoes. Each config key is also the argparse dest of the flag that
+# overrides it.
+_PARAMS_TABLE = (
+    ("s_ueV", "s"), ("t1_ps", "t1"), ("sigma_ueV", "sigma"), ("k", "k"),
+    ("g2_xx", "g2_xx"), ("g2_x", "g2_x"), ("eta_p", "eta_p"),
+    ("t2_star_ns", "t2_star"), ("t1_xx_ps", "t1_xx"), ("tau_s_us", "tau_s"),
+)
+_CONFIG_TABLE = (
+    ("seed", "seed"), ("n_samples", "n_samples"), ("quadrature", "quadrature"),
+    ("gh_order", "gh_order"), ("window_ps", "window"),
+)
+# A literature entry: the dot, its window, the reported figure and a T2* range.
+_LITERATURE_TABLE = (
+    ("label", "label"), *_PARAMS_TABLE[:2], _CONFIG_TABLE[-1],
+    ("reported_value", "reported_value"), ("reported_metric", "reported_metric"),
+    ("t2_star_range_ns", "t2_star_range"),
+)
+# How each field is read from JSON, where that is not _number.
+_integer = functools.partial(_number, integer=True)
+_CONVERTERS = {
+    "seed": _integer, "n_samples": _integer, "gh_order": _integer,
+    "quadrature": _text, "label": _text, "reported_metric": _text,
+    "t2_star_range": _number_pair,
 }
 
 
-def _parse_params(obj) -> model.PhysicalParams:
+def _read_record(obj, table, context: str, *classes) -> dict:
+    """Keyword arguments for the dataclasses from one JSON object.
+
+    A key is required when its field has no default in classes (or is not
+    one of their fields); null counts as absent where the field defaults to
+    None and is passed to the converter anywhere else.
+    """
     if not isinstance(obj, dict):
-        raise ConfigError("'params' must be a JSON object")
-    _check_keys(obj, _PARAM_KEYS, "params")
-    for required in ("s_ueV", "t1_ps"):
-        if required not in obj:
-            raise ConfigError(f"missing key '{required}' in params")
+        raise ConfigError(f"{context} must be a JSON object")
+    _check_keys(obj, {key for key, _ in table}, context)
+    defaults = {f.name: f.default for cls in classes for f in fields(cls)}
+    kwargs = {}
+    for key, field in table:
+        default = defaults.get(field, MISSING)
+        if key not in obj or (obj[key] is None and default is None):
+            if default is MISSING:
+                raise ConfigError(f"missing key '{key}' in {context}")
+            continue
+        kwargs[field] = _CONVERTERS.get(field, _number)(obj[key], f"'{key}' in {context}")
+    return kwargs
 
-    def opt(key):
-        return None if obj.get(key) is None else _number(obj[key], f"'{key}' in params")
 
+def _build(factory, context: str, kwargs: dict):
     try:
-        return model.PhysicalParams(
-            s=_number(obj["s_ueV"], "'s_ueV' in params"),
-            t1=_number(obj["t1_ps"], "'t1_ps' in params"),
-            sigma=opt("sigma_ueV"),
-            t2_star=opt("t2_star_ns"),
-            k=opt("k"),
-            g2_xx=opt("g2_xx"),
-            g2_x=opt("g2_x"),
-            eta_p=opt("eta_p"),
-            t1_xx=opt("t1_xx_ps"),
-            tau_s=opt("tau_s_us"),
-        )
+        return factory(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid params: {exc}") from exc
-
-
-_CONFIG_KEYS = {"n_samples", "seed", "window_ps", "quadrature", "gh_order"}
-# (config key, command-line flag that overrides it)
-_CONFIG_FLAGS = (("n_samples", "samples"), ("seed", "seed"), ("quadrature", "quadrature"),
-                 ("gh_order", "gh_order"))
+        raise ConfigError(f"invalid {context}: {exc}") from exc
 
 
 def _parse_config(obj, args) -> model.SimConfig:
+    """SimConfig from a run spec's config object and the flags that override it."""
     if obj is None:
         obj = {}
-    if not isinstance(obj, dict):
-        raise ConfigError("'config' must be a JSON object")
-    _check_keys(obj, _CONFIG_KEYS, "config")
-    merged = dict(obj)
-    for key, flag in _CONFIG_FLAGS:
-        if getattr(args, flag, None) is not None:
-            merged[key] = getattr(args, flag)
-    given = {key: _number(merged[key], f"'{key}' in config", integer=True)
-             for key in ("n_samples", "seed", "gh_order") if key in merged}
-    if "quadrature" in merged:
-        given["quadrature"] = str(merged["quadrature"])
-    if merged.get("window_ps") is not None:
-        given["window"] = _number(merged["window_ps"], "'window_ps' in config")
-    try:
-        return model.SimConfig(**given)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-
-
-_RUN_SPEC_KEYS = {"params", "config", "outputs"}
+    if isinstance(obj, dict):
+        flags = {key: getattr(args, key) for key, _ in _CONFIG_TABLE
+                 if getattr(args, key, None) is not None}
+        obj = {**obj, **flags}
+    return _build(model.SimConfig, "config",
+                  _read_record(obj, _CONFIG_TABLE, "config", model.SimConfig))
 
 
 def load_run_spec(path, args) -> tuple[model.PhysicalParams, model.SimConfig, list[str]]:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError("run spec must be a JSON object")
-    _check_keys(doc, _RUN_SPEC_KEYS, "run spec")
+    _check_keys(doc, {"params", "config", "outputs"}, "run spec")
     if "params" not in doc:
         raise ConfigError("missing key 'params' in run spec")
-    params = _parse_params(doc["params"])
+    params = _build(model.PhysicalParams, "params",
+                    _read_record(doc["params"], _PARAMS_TABLE, "params", model.PhysicalParams))
     config = _parse_config(doc.get("config"), args)
     outputs = doc.get("outputs", ["metrics", "closed_form"])
     if not isinstance(outputs, list) or not outputs:
@@ -187,22 +180,6 @@ def load_run_spec(path, args) -> tuple[model.PhysicalParams, model.SimConfig, li
         if mode not in OUTPUT_MODES:
             raise ConfigError(f"unknown output mode '{mode}' in outputs")
     return params, config, outputs
-
-
-def _params_echo(params: model.PhysicalParams) -> dict:
-    echo = {
-        "s_ueV": params.s,
-        "t1_ps": params.t1,
-        "sigma_ueV": params.sigma,
-        "k": params.k,
-    }
-    if params.t2_star is not None:
-        echo["t2_star_ns"] = params.t2_star
-    if params.t1_xx is not None:
-        echo["t1_xx_ps"] = params.t1_xx
-    if params.tau_s is not None:
-        echo["tau_s_us"] = params.tau_s
-    return echo
 
 
 def _density_matrix_doc(rho) -> dict:
@@ -242,18 +219,12 @@ def _fmt(value) -> str:
 def cmd_simulate(args) -> int:
     params, config, outputs = load_run_spec(args.run_spec, args)
     rho = model.apply_multipair_mixing(model.monte_carlo_rho(params, config), params.k)
-    m = metrics.metrics_from_rho(rho)
     doc = {
-        "fidelity": m.fidelity,
-        "purity": m.purity,
-        "concurrence": m.concurrence,
+        **asdict(metrics.metrics_from_rho(rho)),
         "closed_form_fidelity": model.analytic_fidelity(params.s, params.sigma, params.t1, params.k),
-        "params": _params_echo(params),
-        "seed": config.seed,
-        "n_samples": config.n_samples,
-        "quadrature": config.quadrature,
-        "gh_order": config.gh_order,
-        "window_ps": config.window,
+        "params": {key: getattr(params, field) for key, field in _PARAMS_TABLE
+                   if getattr(params, field) is not None},
+        **{key: getattr(config, field) for key, field in _CONFIG_TABLE},
     }
     if "density_matrix" in outputs or "both" in outputs:
         doc["density_matrix"] = _density_matrix_doc(rho)
@@ -311,13 +282,8 @@ def cmd_window_sweep(args) -> int:
     return EXIT_OK
 
 
-_LITERATURE_KEYS = {
-    "label", "t1_ps", "s_ueV", "window_ps", "reported_value",
-    "reported_metric", "t2_star_range_ns",
-}
-
-
-def _parse_literature(path) -> list[LiteratureEntry]:
+def _parse_literature(path, config: model.SimConfig) -> list:
+    """Each entry as (record, points at both ends of its T2* range, windowed config)."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ConfigError("literature file must be an object with an 'entries' list")
@@ -327,44 +293,26 @@ def _parse_literature(path) -> list[LiteratureEntry]:
     entries = []
     for i, obj in enumerate(doc["entries"]):
         context = f"entries[{i}]"
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{context} must be an object")
-        _check_keys(obj, _LITERATURE_KEYS, context)
-        for required in ("label", "t1_ps", "s_ueV", "reported_value",
-                         "reported_metric", "t2_star_range_ns"):
-            if required not in obj:
-                raise ConfigError(f"missing key '{required}' in {context}")
-        rng = obj["t2_star_range_ns"]
-        if not (isinstance(rng, list) and len(rng) == 2):
-            raise ConfigError(f"'t2_star_range_ns' in {context} must be [low, high]")
-        try:
-            entries.append(LiteratureEntry(
-                label=str(obj["label"]),
-                t1=_number(obj["t1_ps"], f"'t1_ps' in {context}"),
-                s=_number(obj["s_ueV"], f"'s_ueV' in {context}"),
-                reported_value=_number(obj["reported_value"], f"'reported_value' in {context}"),
-                reported_metric=str(obj["reported_metric"]),
-                t2_star_range=tuple(_number(t, f"'t2_star_range_ns' in {context}") for t in rng),
-                window=(None if obj.get("window_ps") is None
-                        else _number(obj["window_ps"], f"'window_ps' in {context}")),
-            ))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid {context}: {exc}") from exc
+        entry = _read_record(obj, _LITERATURE_TABLE, context,
+                             model.PhysicalParams, model.SimConfig)
+        if entry["reported_metric"] not in REPORTED_METRICS:
+            raise ConfigError(
+                f"invalid {context}: reported_metric must be one of {REPORTED_METRICS}")
+        low, high = entry["t2_star_range"]
+        if low > high:
+            raise ConfigError(f"invalid {context}: t2_star_range_ns must have low <= high")
+        # Upper-limit model: pure dephasing, no multi-pair mixing (k unknown
+        # for literature sources).
+        dot = {"s": entry["s"], "t1": entry["t1"], "k": 1.0}
+        points = [_build(model.PhysicalParams, context, {**dot, "t2_star": t2}) for t2 in (low, high)]
+        windowed = _build(functools.partial(replace, config), context,
+                          {"window": entry.get("window")})
+        entries.append((entry, points, windowed))
     return entries
 
 
-def _predicted_metric(entry: LiteratureEntry, sigma: float, config: model.SimConfig) -> float:
-    # Upper-limit model: pure dephasing, no multi-pair mixing (k unknown for
-    # literature sources).
-    params = model.PhysicalParams(s=entry.s, t1=entry.t1, sigma=sigma, k=1.0)
-    windowed = replace(config, window=entry.window)
-    m = metrics.metrics_from_rho(model.monte_carlo_rho(params, windowed))
-    return m.fidelity if entry.reported_metric == "fidelity" else m.concurrence
-
-
 def cmd_compare(args) -> int:
-    entries = _parse_literature(args.literature)
-    config = _parse_config({}, args)
+    entries = _parse_literature(args.literature, _parse_config({}, args))
     header = [
         "label", "reported_metric", "t1_ps", "s_ueV", "window_ps",
         "t2_star_low_ns", "t2_star_high_ns", "predicted_low", "predicted_high",
@@ -372,23 +320,21 @@ def cmd_compare(args) -> int:
     ]
     rows = []
     lines = []
-    for entry in entries:
-        t2_low, t2_high = entry.t2_star_range
+    for entry, points, windowed in entries:
+        label, metric, value = entry["label"], entry["reported_metric"], entry["reported_value"]
         # Longer T2* means weaker noise, hence the higher prediction.
-        predictions = sorted(
-            _predicted_metric(entry, model.sigma_from_t2star(t2), config)
-            for t2 in (t2_low, t2_high)
+        low, high = sorted(
+            getattr(metrics.metrics_from_rho(model.monte_carlo_rho(point, windowed)), metric)
+            for point in points
         )
-        low, high = predictions
-        within = low <= entry.reported_value <= high
+        within = low <= value <= high
         rows.append([
-            entry.label, entry.reported_metric, _fmt(entry.t1), _fmt(entry.s),
-            _fmt(entry.window), _fmt(t2_low), _fmt(t2_high), _fmt(low),
-            _fmt(high), _fmt(entry.reported_value), str(within).lower(),
+            label, metric, _fmt(entry["t1"]), _fmt(entry["s"]), _fmt(windowed.window),
+            _fmt(points[0].t2_star), _fmt(points[1].t2_star), _fmt(low), _fmt(high),
+            _fmt(value), str(within).lower(),
         ])
         lines.append(
-            f"{entry.label}: reported {entry.reported_metric} "
-            f"{entry.reported_value:.3f}, model range [{low:.3f}, {high:.3f}]"
+            f"{label}: reported {metric} {value:.3f}, model range [{low:.3f}, {high:.3f}]"
             f" -> {'within' if within else 'outside'}"
         )
     text = _csv_text(header, rows)
@@ -411,17 +357,12 @@ def cmd_tomography(args) -> int:
     records = tomography.simulate_counts(
         rho_true, settings, args.n_per_setting, seed=config.seed, poisson=args.poisson,
     )
-    true_metrics = metrics.metrics_from_rho(rho_true)
     doc = {
         "mode": args.mode,
         "n_per_setting": args.n_per_setting,
         "poisson": bool(args.poisson),
         "seed": config.seed,
-        "true_state": {
-            "fidelity": true_metrics.fidelity,
-            "purity": true_metrics.purity,
-            "concurrence": true_metrics.concurrence,
-        },
+        "true_state": asdict(metrics.metrics_from_rho(rho_true)),
         "counts": [
             {"label": r.setting.label, "counts": r.counts, "weight": r.acquisition_weight}
             for r in records
@@ -441,11 +382,8 @@ def cmd_tomography(args) -> int:
         }
     else:
         result = tomography.mle_reconstruct(records, max_iterations=args.max_iterations)
-        reco_metrics = metrics.metrics_from_rho(result.rho)
         doc["reconstruction"] = {
-            "fidelity": reco_metrics.fidelity,
-            "purity": reco_metrics.purity,
-            "concurrence": reco_metrics.concurrence,
+            **asdict(metrics.metrics_from_rho(result.rho)),
             "trace_distance": metrics.trace_distance(result.rho, rho_true),
             "log_likelihood": result.log_likelihood,
             "iterations": result.iterations,
@@ -465,7 +403,7 @@ def cmd_tomography(args) -> int:
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the seed from the config")
-    parser.add_argument("--samples", type=int, default=None,
+    parser.add_argument("--samples", dest="n_samples", type=int, default=None,
                         help="override n_samples from the config")
     parser.add_argument("--quadrature", choices=model.QUADRATURE_MODES, default=None,
                         help="override the averaging mode")

@@ -15,6 +15,7 @@ Planck constant in these units is :data:`~qdcascade.linalg.HBAR_UEV_PS`.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -143,10 +144,11 @@ def sigma_from_composition(species: SpeciesParams, variant: str = "quadratic") -
 class PhysicalParams:
     """Model inputs for one quantum dot.
 
-    s: fine-structure splitting, ueV, >= 0.
-    t1: exciton radiative lifetime, ps, > 0.
-    sigma: Overhauser standard deviation, ueV. May be omitted when t2_star
-        is given; if both are given they must agree via sigma = hbar/T2*.
+    s: fine-structure splitting, ueV, finite and >= 0.
+    t1: exciton radiative lifetime, ps, finite and > 0.
+    sigma: Overhauser standard deviation, ueV, finite. May be omitted when
+        t2_star is given; if both are given they must agree via
+        sigma = hbar/T2*.
     t2_star: inhomogeneous electron spin coherence time, ns.
     k: fraction of cycles with at most one photon pair, in (0, 1]. May be
         omitted when g2_xx, g2_x and eta_p are all given instead.
@@ -167,6 +169,10 @@ class PhysicalParams:
     tau_s: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("s", "t1", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.s < 0:
             raise ValueError("s must be >= 0")
         if not self.t1 > 0:
@@ -211,9 +217,12 @@ class SimConfig:
 
     n_samples: Monte Carlo draws of the Overhauser shift.
     seed: 64-bit seed for the counter-based sampler.
-    window: coincidence window in ps; None averages over all emission times.
+    window: finite coincidence window in ps; None averages over all
+        emission times.
     quadrature: "monte_carlo" or "gauss_hermite".
     gh_order: Gauss-Hermite order, used only in gauss_hermite mode.
+
+    n_samples, seed and gh_order must be integers (bool is not one).
     """
 
     n_samples: int = 200_000
@@ -223,12 +232,16 @@ class SimConfig:
     gh_order: int = 32
 
     def __post_init__(self) -> None:
+        for name in ("n_samples", "seed", "gh_order"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.window is not None and not self.window > 0:
-            raise ValueError("window must be > 0")
+        if self.window is not None and not 0 < self.window < math.inf:
+            raise ValueError("window must be finite and > 0")
         if self.quadrature not in QUADRATURE_MODES:
             raise ValueError(f"quadrature must be one of {QUADRATURE_MODES}")
         if not 3 <= self.gh_order <= 64:

@@ -114,6 +114,38 @@ class TestSimulate:
         )
         assert abs(doc["fidelity"] - metrics_from_rho(rho).fidelity) < 1e-12
 
+    @pytest.mark.parametrize("params, params_keys", [
+        (None, ["s_ueV", "t1_ps", "sigma_ueV", "k", "t1_xx_ps"]),
+        ({"s_ueV": 0.4, "t1_ps": 430.0, "t2_star_ns": 1.6, "g2_xx": 0.009, "g2_x": 0.002,
+          "eta_p": 0.7, "tau_s_us": 100.0},
+         ["s_ueV", "t1_ps", "sigma_ueV", "k", "g2_xx", "g2_x", "eta_p", "t2_star_ns",
+          "tau_s_us"]),
+    ])
+    def test_json_key_order(self, tmp_path, params, params_keys):
+        spec = REFERENCE_SPEC if params is None else write_spec(tmp_path, params=params)
+        out = tmp_path / "out.json"
+        assert main(["simulate", str(spec), "--quadrature", "gauss_hermite",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert list(doc) == ["fidelity", "purity", "concurrence", "closed_form_fidelity",
+                             "params", "seed", "n_samples", "quadrature", "gh_order",
+                             "window_ps"]
+        assert list(doc["params"]) == params_keys
+
+    def test_null_counts_as_absent_where_default_is_none(self, tmp_path):
+        spec = write_spec(
+            tmp_path,
+            params={"s_ueV": 0.4, "sigma_ueV": 0.41, "t1_ps": 430.0, "k": 0.99,
+                    "t2_star_ns": None, "tau_s_us": None},
+            config={"n_samples": 5000, "seed": 42, "window_ps": None},
+        )
+        reference = write_spec(tmp_path, name="reference.json")
+        out = tmp_path / "out.json"
+        expected = tmp_path / "expected.json"
+        assert main(["simulate", str(spec), "--out", str(out)]) == 0
+        assert main(["simulate", str(reference), "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_module_entry_point(self, tmp_path):
         spec = write_spec(tmp_path)
         proc = subprocess.run(
@@ -249,6 +281,32 @@ class TestCompare:
         assert main(["compare", str(lit)]) == 2
         assert "windowps" in capsys.readouterr().err
 
+    # Range checks come from PhysicalParams and SimConfig; the CLI itself
+    # checks only the metric name, the range's shape and low <= high.
+    @pytest.mark.parametrize("key, value", [
+        ("t1_ps", 0),
+        ("s_ueV", -1),
+        ("window_ps", 0),
+        ("t2_star_range_ns", [0, 1]),
+        ("t2_star_range_ns", [3, 1]),
+        ("t2_star_range_ns", [1.0]),
+        ("reported_metric", "purity"),
+        ("label", None),
+    ])
+    def test_rejects_invalid_entry(self, tmp_path, capsys, key, value):
+        entry = {
+            "label": "x", "t1_ps": 100.0, "s_ueV": 0.0, "reported_value": 0.9,
+            "reported_metric": "fidelity", "t2_star_range_ns": [1.0, 2.0],
+        }
+        entry[key] = value
+        lit = tmp_path / "bad.json"
+        lit.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        assert main(["compare", str(lit), "--quadrature", "gauss_hermite"]) == 2
+        captured = capsys.readouterr()
+        assert "entries[0]" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestTomographyCommand:
     def test_six_basis_estimate_only(self, tmp_path):
@@ -326,6 +384,9 @@ class TestNumberInputs:
         ("config", "seed", "7.5"),
         ("config", "gh_order", "32.7"),
         ("config", "n_samples", "true"),
+        ("params", "s_ueV", "null"),
+        ("config", "seed", "null"),
+        ("config", "quadrature", "null"),
     ])
     def test_run_spec_value_rejected(self, tmp_path, capsys, section, key, token):
         doc = {

@@ -486,6 +486,15 @@ class TestPhysicalParams:
         with pytest.raises(ValueError):
             PhysicalParams(s=0.4, t1=430.0, k=0.99)
 
+    # Unchecked, each of these gives a non-finite monte_carlo_rho.
+    @pytest.mark.parametrize("field, value", [
+        ("s", math.nan), ("t1", math.inf), ("sigma", math.nan), ("sigma", math.inf),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"s": 0.4, "t1": 430.0, "sigma": 0.41, "k": 0.99, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PhysicalParams(**kwargs)
+
     def test_frozen_spin_warning(self):
         with pytest.warns(UserWarning, match="frozen-spin"):
             PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99, tau_s=0.001)
@@ -506,3 +515,20 @@ class TestSimConfig:
             SimConfig(gh_order=2)
         with pytest.raises(ValueError):
             SimConfig(seed=-1)
+
+    # Unchecked, seed=7.5 and n_samples=True run silently, gh_order=32.7
+    # fails late with a TypeError and window=inf gives a NaN state.
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 7.5), ("n_samples", True), ("n_samples", 1000.9), ("gh_order", 32.7),
+        ("seed", np.bool_(True)), ("window", math.inf), ("window", math.nan),
+    ])
+    def test_rejects_non_integral_and_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99)
+        plain = SimConfig(n_samples=70_000, seed=5)
+        numpy_ints = SimConfig(n_samples=np.int64(70_000), seed=np.uint64(5))
+        assert np.array_equal(monte_carlo_rho(params, plain), monte_carlo_rho(params, numpy_ints))
+        assert SimConfig(gh_order=np.int32(16)).gh_order == 16
