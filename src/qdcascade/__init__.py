@@ -28,6 +28,7 @@ from .model import (
     emission_phase_average,
     k_from_g2,
     monte_carlo_rho,
+    monte_carlo_rhos,
     overhauser_samples,
     sigma_from_composition,
     sigma_from_t2star,
@@ -79,6 +80,7 @@ __all__ = [
     "metrics_from_rho",
     "mle_reconstruct",
     "monte_carlo_rho",
+    "monte_carlo_rhos",
     "overhauser_samples",
     "purity",
     "save_count_records_csv",

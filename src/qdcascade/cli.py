@@ -248,13 +248,15 @@ def cmd_sweep(args) -> int:
         model.sigma_from_t2star(T2_STAR_REFERENCE_NS),
         model.sigma_from_t2star(T2_STAR_HIGH_NOISE_NS),
     ]
+    s_values = np.linspace(s_min, s_max, args.n_points)
+    rhos = model.monte_carlo_rhos(
+        (model.PhysicalParams(s=float(s), t1=params.t1, sigma=sigma, k=params.k), config)
+        for s in s_values for sigma in sigma_bands
+    )
+    grid = np.reshape([metrics.fidelity_phi_plus(model.apply_multipair_mixing(rho, params.k))
+                       for rho in rhos], (s_values.size, len(sigma_bands)))
     rows = []
-    for s in np.linspace(s_min, s_max, args.n_points):
-        fidelities = []
-        for sigma in sigma_bands:
-            point = model.PhysicalParams(s=float(s), t1=params.t1, sigma=sigma, k=params.k)
-            rho = model.apply_multipair_mixing(model.monte_carlo_rho(point, config), params.k)
-            fidelities.append(metrics.fidelity_phi_plus(rho))
+    for s, fidelities in zip(s_values, grid):
         closed_form = model.analytic_fidelity(float(s), sigma_bands[2], params.t1, params.k)
         rows.append([_fmt(s)] + [_fmt(f) for f in fidelities] + [_fmt(closed_form)])
     header = ["S_ueV", "f_sigma0", "f_sigma_low", "f_sigma_ref", "f_sigma_high",
@@ -270,12 +272,12 @@ def cmd_window_sweep(args) -> int:
         raise ConfigError("windows must be positive")
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ConfigError("windows must be strictly ascending")
+    rhos = model.monte_carlo_rhos((params, replace(config, window=w)) for w in windows)
     rows = []
-    for window in windows:
-        windowed = replace(config, window=window)
+    for window, rho in zip(windows, rhos):
         # Dephasing-only figures: the multi-pair mixing channel is not part
         # of the window-filtered model.
-        m = metrics.metrics_from_rho(model.monte_carlo_rho(params, windowed))
+        m = metrics.metrics_from_rho(rho)
         rows.append([_fmt(window), _fmt(m.concurrence), _fmt(m.fidelity), _fmt(m.purity)])
     header = ["window_ps", "concurrence", "fidelity", "purity"]
     _write_text(_csv_text(header, rows), args.out)
@@ -318,15 +320,16 @@ def cmd_compare(args) -> int:
         "t2_star_low_ns", "t2_star_high_ns", "predicted_low", "predicted_high",
         "reported_value", "within_range",
     ]
+    # Both ends of every entry's T2* range, in entry order.
+    rhos = model.monte_carlo_rhos(
+        (point, windowed) for _, points, windowed in entries for point in points
+    )
     rows = []
     lines = []
-    for entry, points, windowed in entries:
+    for (entry, points, windowed), ends in zip(entries, zip(rhos[::2], rhos[1::2])):
         label, metric, value = entry["label"], entry["reported_metric"], entry["reported_value"]
         # Longer T2* means weaker noise, hence the higher prediction.
-        low, high = sorted(
-            getattr(metrics.metrics_from_rho(model.monte_carlo_rho(point, windowed)), metric)
-            for point in points
-        )
+        low, high = sorted(getattr(metrics.metrics_from_rho(rho), metric) for rho in ends)
         within = low <= value <= high
         rows.append([
             label, metric, _fmt(entry["t1"]), _fmt(entry["s"]), _fmt(windowed.window),

@@ -406,6 +406,10 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
     multi-pair mixing channel is not applied here, see
     :func:`apply_multipair_mixing`.
 
+    This is the one-point case of :func:`monte_carlo_rhos`, which draws
+    each chunk's standard normals once and scales them by sigma; a point
+    averaged alone or as part of a grid gives the same bytes.
+
     Phase convention: with u and v the pair vectors conj(e) (x) e through
     the upper and lower exciton eigenstate e, a pair emitted after the
     delay t is (v + exp(-i delta t / hbar) u)/sqrt2. The stored exciton
@@ -413,22 +417,53 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
     branch and the averaged coherence is g u v^dag, with g the phase
     average at the exciton splitting delta.
     """
-    if params.sigma == 0.0:
-        return time_averaged_rho(params.s, 0.0, params.t1, config.window)
-    if config.quadrature == "gauss_hermite":
-        nodes, gh_weights = _hermgauss(config.gh_order)
-        shifts = np.sqrt(2.0) * params.sigma * nodes
-        weights = gh_weights / np.sqrt(np.pi)
-        return _rho_from_moments(*_moments(params.s, shifts, params.t1, config.window, weights))
-    n = config.n_samples
-    real = np.zeros(5)
-    cross = np.zeros(5, dtype=complex)
+    return monte_carlo_rhos([(params, config)])[0]
+
+
+def monte_carlo_rhos(points) -> list[np.ndarray]:
+    """:func:`monte_carlo_rho` for each (PhysicalParams, SimConfig) pair.
+
+    sigma = 0 points are the fixed-shift state and gauss_hermite points use
+    the cached nodes. The Monte Carlo points must share seed and n_samples,
+    so they share one sampler stream: each chunk of standard normals
+    z = ndtri(u) is drawn once, and each point in turn adds the moments of
+    its shifts sigma * z, which are bitwise the draws of its own stream.
+    Only one chunk of normals is held at a time.
+    """
+    points = list(points)
+    rhos = [None] * len(points)
+    sampled = []
+    for i, (params, config) in enumerate(points):
+        if params.sigma == 0.0:
+            rhos[i] = time_averaged_rho(params.s, 0.0, params.t1, config.window)
+        elif config.quadrature == "gauss_hermite":
+            nodes, gh_weights = _hermgauss(config.gh_order)
+            shifts = np.sqrt(2.0) * params.sigma * nodes
+            weights = gh_weights / np.sqrt(np.pi)
+            rhos[i] = _rho_from_moments(*_moments(params.s, shifts, params.t1, config.window,
+                                                  weights))
+        else:
+            sampled.append(i)
+    if not sampled:
+        return rhos
+    streams = {(points[i][1].seed, points[i][1].n_samples) for i in sampled}
+    if len(streams) > 1:
+        raise ValueError("Monte Carlo points must share seed and n_samples, got "
+                         f"{sorted(streams)}")
+    ((seed, n),) = streams
+    real = np.zeros((len(sampled), 5))
+    cross = np.zeros((len(sampled), 5), dtype=complex)
     for start in range(0, n, CHUNK_SAMPLES):
-        shifts = overhauser_samples(config.seed, min(CHUNK_SAMPLES, n - start), params.sigma, start)
-        chunk_real, chunk_cross = _moments(params.s, shifts, params.t1, config.window, 1.0)
-        real += chunk_real
-        cross += chunk_cross
-    return _rho_from_moments(real / n, cross / n)
+        normals = overhauser_samples(seed, min(CHUNK_SAMPLES, n - start), 1.0, start)
+        for j, i in enumerate(sampled):
+            params, config = points[i]
+            chunk_real, chunk_cross = _moments(params.s, params.sigma * normals, params.t1,
+                                               config.window, 1.0)
+            real[j] += chunk_real
+            cross[j] += chunk_cross
+    for j, i in enumerate(sampled):
+        rhos[i] = _rho_from_moments(real[j] / n, cross[j] / n)
+    return rhos
 
 
 def apply_multipair_mixing(rho, k: float) -> np.ndarray:
