@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .linalg import HBAR_UEV_PS, IDENTITY_4, assert_density_matrix
 
@@ -262,10 +261,18 @@ def emission_phase_average(delta, t1: float, window: float | None = None):
         g = 1.0 / (rate * t1)
     else:
         # (1 - exp(-x)) / x for x = rate * window over the same at x = window / T1;
-        # Re x > 0, so x is never zero.
+        # Re x > 0, so x is never zero. Re x = a is one scalar, so expm1(-x)
+        # is built from real parts: expm1(-a) cos b - 2 sin^2(b/2) - i exp(-a) sin b
+        # with b = Im x, accurate for small a and small b alike.
         x = rate * window
-        x0 = window / t1
-        g = (np.expm1(-x) / x) / (np.expm1(-x0) / x0)
+        a = window / t1
+        b = x.imag
+        decay = math.expm1(-a)
+        half_sin = np.sin(0.5 * b)
+        expm1_x = np.empty_like(x)
+        expm1_x.real = decay * np.cos(b) - 2.0 * half_sin * half_sin
+        expm1_x.imag = -math.exp(-a) * np.sin(b)
+        g = (expm1_x / x) / (decay / a)
     return complex(g[0]) if scalar else g
 
 
@@ -364,7 +371,15 @@ def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.nd
     how the work is partitioned. As a two-word Philox key this is
     (seed, 0); the Poisson count draw of the tomography simulation reads
     its own stream (seed, 1).
+
+    Grid averages draw the standard normals once per chunk, with
+    sigma = 1, and scale them by each point's sigma (see
+    :func:`monte_carlo_rhos`); sigma * (1.0 * z) is bitwise sigma * z.
+    scipy.special is imported on the first call, so importing the package
+    loads no scipy module.
     """
+    from scipy.special import ndtri
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if sigma < 0:

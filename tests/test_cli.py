@@ -7,10 +7,18 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from qdcascade.cli import main
+from qdcascade.cli import _fmt, main
 from qdcascade.linalg import HBAR_UEV_PS
-from qdcascade.model import PhysicalParams, SimConfig, analytic_fidelity, monte_carlo_rho
-from qdcascade.metrics import metrics_from_rho
+from qdcascade.model import (
+    CHUNK_SAMPLES,
+    PhysicalParams,
+    SimConfig,
+    analytic_fidelity,
+    apply_multipair_mixing,
+    monte_carlo_rho,
+    sigma_from_t2star,
+)
+from qdcascade.metrics import fidelity_phi_plus, metrics_from_rho
 
 REFERENCE_SPEC = resources.files("qdcascade") / "data" / "ingaas_strain_tuned.json"
 LITERATURE = resources.files("qdcascade") / "data" / "literature.json"
@@ -306,6 +314,62 @@ class TestCompare:
         assert "entries[0]" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestGridCellsMatchPerPointStates:
+    """sweep, window-sweep and compare average all their points in one
+    engine call; every cell must equal the figure of the point averaged on
+    its own, at a sample count spanning two chunks."""
+
+    N = CHUNK_SAMPLES + 100
+
+    def test_sweep(self, tmp_path):
+        spec = write_spec(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(spec), "--s-min", "0", "--s-max", "2", "--n-points", "3",
+                     "--samples", str(self.N), "--out", str(out)]) == 0
+        config = SimConfig(n_samples=self.N, seed=42)
+        sigmas = [0.0] + [sigma_from_t2star(t2) for t2 in (3.2, 1.7, 1.0)]
+        rows = read_csv(out)[1:]
+        assert len(rows) == 3
+        for s, row in zip((0.0, 1.0, 2.0), rows):
+            expected = [
+                fidelity_phi_plus(apply_multipair_mixing(monte_carlo_rho(
+                    PhysicalParams(s=s, t1=430.0, sigma=sigma, k=0.99), config), 0.99))
+                for sigma in sigmas
+            ]
+            assert row[1:5] == [_fmt(f) for f in expected]
+
+    def test_window_sweep(self, tmp_path):
+        spec = write_spec(tmp_path)
+        out = tmp_path / "windows.csv"
+        windows = (100.0, 350.0, 3000.0)
+        assert main(["window-sweep", str(spec), "--windows", *map(str, windows),
+                     "--samples", str(self.N), "--out", str(out)]) == 0
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99)
+        rows = read_csv(out)[1:]
+        assert len(rows) == len(windows)
+        for window, row in zip(windows, rows):
+            m = metrics_from_rho(monte_carlo_rho(
+                params, SimConfig(n_samples=self.N, seed=42, window=window)))
+            assert row == [_fmt(window), _fmt(m.concurrence), _fmt(m.fidelity), _fmt(m.purity)]
+
+    def test_compare(self, tmp_path):
+        out = tmp_path / "compare.csv"
+        assert main(["compare", str(LITERATURE), "--samples", str(self.N),
+                     "--out", str(out)]) == 0
+        entries = json.loads(LITERATURE.read_text(encoding="utf-8"))["entries"]
+        rows = read_csv(out)[1:]
+        assert len(rows) == len(entries)
+        for entry, row in zip(entries, rows):
+            config = SimConfig(n_samples=self.N, window=entry.get("window_ps"))
+            predicted = sorted(
+                getattr(metrics_from_rho(monte_carlo_rho(PhysicalParams(
+                    s=entry["s_ueV"], t1=entry["t1_ps"], t2_star=t2, k=1.0), config)),
+                    entry["reported_metric"])
+                for t2 in entry["t2_star_range_ns"]
+            )
+            assert row[7:9] == [_fmt(value) for value in predicted]
 
 
 class TestTomographyCommand:

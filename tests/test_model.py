@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from qdcascade.model import (
     emission_phase_average,
     k_from_g2,
     monte_carlo_rho,
+    monte_carlo_rhos,
     overhauser_samples,
     sigma_from_composition,
     sigma_from_t2star,
@@ -383,6 +385,83 @@ class TestMonteCarloRho:
         for s, sigma in ((0.5, 0.3), (0.0, 0.6)):
             values = [fid(s, sigma, t1) for t1 in (100.0, 300.0, 700.0)]
             assert np.all(np.diff(values) <= 1e-12)
+
+
+def per_point_rho(params, config):
+    """The per-point Monte Carlo loop: each point draws its own shifts
+    sigma * ndtri(u), chunk by chunk, and sums their moments."""
+    real = np.zeros(5)
+    cross = np.zeros(5, dtype=complex)
+    n = config.n_samples
+    for start in range(0, n, CHUNK_SAMPLES):
+        shifts = overhauser_samples(config.seed, min(CHUNK_SAMPLES, n - start), params.sigma, start)
+        chunk_real, chunk_cross = _moments(params.s, shifts, params.t1, config.window, 1.0)
+        real += chunk_real
+        cross += chunk_cross
+    return _rho_from_moments(real / n, cross / n)
+
+
+class TestMonteCarloRhos:
+    # sigma = 0, Gauss-Hermite and Monte Carlo points, with and without a
+    # window; the Gauss-Hermite point's seed differs, which is allowed.
+    POINTS = [
+        (0.4, 0.41, None, "monte_carlo"),
+        (0.0, 0.0, 350.0, "monte_carlo"),
+        (3.0, 1.0, 350.0, "monte_carlo"),
+        (0.7, 0.3, 256.0, "gauss_hermite"),
+        (0.0, 0.05, 1e-3, "monte_carlo"),
+        (1.2, 0.0, None, "gauss_hermite"),
+        (0.4, 0.41, 3000.0, "monte_carlo"),
+    ]
+
+    @staticmethod
+    def points(n, seed=2024):
+        return [(PhysicalParams(s=s, t1=430.0, sigma=sigma, k=0.99),
+                 SimConfig(n_samples=n, seed=seed + (quadrature == "gauss_hermite"),
+                           window=window, quadrature=quadrature))
+                for s, sigma, window, quadrature in TestMonteCarloRhos.POINTS]
+
+    @pytest.mark.parametrize("n", [1, CHUNK_SAMPLES - 1, CHUNK_SAMPLES + 1,
+                                   3 * CHUNK_SAMPLES + 17])
+    def test_equals_per_point_bytes(self, n):
+        points = self.points(n)
+        rhos = monte_carlo_rhos(points)
+        assert len(rhos) == len(points)
+        for (params, config), rho in zip(points, rhos):
+            assert rho.tobytes() == monte_carlo_rho(params, config).tobytes()
+            if params.sigma > 0 and config.quadrature == "monte_carlo":
+                assert rho.tobytes() == per_point_rho(params, config).tobytes()
+
+    def test_empty(self):
+        assert monte_carlo_rhos([]) == []
+
+    @pytest.mark.parametrize("change", [{"seed": 7}, {"n_samples": 999}])
+    def test_monte_carlo_points_must_share_stream(self, change):
+        points = self.points(1000)
+        params, config = points[0]
+        with pytest.raises(ValueError, match="seed and n_samples"):
+            monte_carlo_rhos(points + [(params, replace(config, **change))])
+        # sigma = 0 and Gauss-Hermite points draw nothing, so they may differ.
+        zero = PhysicalParams(s=0.4, t1=430.0, sigma=0.0, k=1.0)
+        gh = replace(config, quadrature="gauss_hermite", **change)
+        assert len(monte_carlo_rhos(points + [(zero, replace(config, **change)),
+                                              (params, gh)])) == len(points) + 2
+
+    def test_memory_bounded_for_a_sweep_grid(self):
+        # The 84 points of a 21-row sweep: four sigma bands per splitting.
+        config = SimConfig(n_samples=200_000, seed=9)
+        points = [(PhysicalParams(s=float(s), t1=430.0, sigma=sigma, k=1.0), config)
+                  for s in np.linspace(0.0, 2.0, 21)
+                  for sigma in (0.0, sigma_from_t2star(3.2), sigma_from_t2star(1.7),
+                                sigma_from_t2star(1.0))]
+        tracemalloc.start()
+        try:
+            rhos = monte_carlo_rhos(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rhos) == 84
+        assert peak < 32 * 2**20
 
 
 class TestMixing:
