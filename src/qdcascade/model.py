@@ -256,23 +256,23 @@ def emission_phase_average(delta, t1: float, window: float | None = None):
     """
     scalar = np.ndim(delta) == 0
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    rate = 1.0 / t1 + 1j * delta / HBAR_UEV_PS
     if window is None:
+        rate = 1.0 / t1 + 1j * delta / HBAR_UEV_PS
         g = 1.0 / (rate * t1)
     else:
-        # (1 - exp(-x)) / x for x = rate * window over the same at x = window / T1;
-        # Re x > 0, so x is never zero. Re x = a is one scalar, so expm1(-x)
-        # is built from real parts: expm1(-a) cos b - 2 sin^2(b/2) - i exp(-a) sin b
-        # with b = Im x, accurate for small a and small b alike.
-        x = rate * window
+        # expm1(-x) / x for x = a + i b, a = window / T1, b = delta window / hbar,
+        # over the same at x = a; a > 0, so x is never zero. a is one scalar, so
+        # expm1(-x) = expm1(-a) - 2 exp(-a) sin^2(b/2) - i exp(-a) sin b is built
+        # from real parts, and its real terms share a sign: no cancellation at
+        # small a or b. damp carries the normalization a / expm1(-a).
         a = window / t1
-        b = x.imag
+        b = delta * (window / HBAR_UEV_PS)
         decay = math.expm1(-a)
+        damp = math.exp(-a) * (a / decay)
         half_sin = np.sin(0.5 * b)
-        expm1_x = np.empty_like(x)
-        expm1_x.real = decay * np.cos(b) - 2.0 * half_sin * half_sin
-        expm1_x.imag = -math.exp(-a) * np.sin(b)
-        g = (expm1_x / x) / (decay / a)
+        g = np.sin(b) * (-1j * damp)
+        g += a - (2.0 * damp) * (half_sin * half_sin)
+        g /= a + 1j * b
     return complex(g[0]) if scalar else g
 
 
