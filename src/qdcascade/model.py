@@ -34,6 +34,23 @@ COMPOSITION_VARIANTS = ("quadratic", "linear")
 SIGMA_MATCH_TOL = 1e-6
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _check_t1_window(t1: float, window: float | None) -> None:
+    _check_positive("t1", t1)
+    if window is not None:
+        _check_positive("window", window)
+
+
 def sigma_from_t2star(t2_star_ns: float) -> float:
     """Overhauser standard deviation sigma = hbar / T2*, in ueV for T2* in ns."""
     if not t2_star_ns > 0:
@@ -76,8 +93,10 @@ def analytic_fidelity(s: float, sigma: float, t1: float, k: float) -> float:
     it sits below the quadrature average for broad spin noise. The CLI
     reports both values side by side.
     """
-    if s < 0 or sigma < 0 or t1 < 0:
-        raise ValueError("s, sigma and t1 must be >= 0")
+    _check_finite(s=s, sigma=sigma)
+    if s < 0 or sigma < 0:
+        raise ValueError("s and sigma must be >= 0")
+    _check_positive("t1", t1)
     if not 0.0 < k <= 1.0:
         raise ValueError("k must lie in (0, 1]")
     lorentz = 1.0 / (1.0 + 4.0 * t1 * t1 * (s * s + sigma * sigma) / HBAR_UEV_PS**2)
@@ -168,10 +187,9 @@ class PhysicalParams:
     tau_s: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("s", "t1", "sigma"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _check_finite(s=self.s, t1=self.t1)
+        if self.sigma is not None:
+            _check_finite(sigma=self.sigma)
         if self.s < 0:
             raise ValueError("s must be >= 0")
         if not self.t1 > 0:
@@ -239,8 +257,8 @@ class SimConfig:
             raise ValueError("n_samples must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.window is not None and not 0 < self.window < math.inf:
-            raise ValueError("window must be finite and > 0")
+        if self.window is not None:
+            _check_positive("window", self.window)
         if self.quadrature not in QUADRATURE_MODES:
             raise ValueError(f"quadrature must be one of {QUADRATURE_MODES}")
         if not 3 <= self.gh_order <= 64:
@@ -253,7 +271,9 @@ def emission_phase_average(delta, t1: float, window: float | None = None):
     The delay density is exp(-t/T1)/T1, truncated and renormalized to
     [0, window] when a coincidence window is given. Accepts a scalar or an
     array of splittings delta (ueV) and returns matching complex values.
+    t1 must be finite and > 0, and the window None or finite and > 0.
     """
+    _check_t1_window(t1, window)
     scalar = np.ndim(delta) == 0
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     if window is None:
@@ -314,30 +334,110 @@ _RHO_FROM_MOMENTS = _moment_map()
 # changes the summation order and with it the last bits of every output.
 CHUNK_SAMPLES = 65_536
 
+# Rows of the _moments workspace. Unwindowed: seven basis rows and the
+# energy row. Windowed: five basis rows, x and y, and the complex phase
+# average over rows 7-8.
+_WORK_ROWS = 9
 
-def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
-             weights) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sums over shifts of (1, x, x^2, y, xy) and of g times each.
 
-    g is the emission phase average at the exciton splitting 2E. weights is
-    an array matching shifts or a scalar. Per-sample arrays are reduced with
-    ufunc sums rather than matrix products, which would hand them to a
-    multi-threaded BLAS.
-    """
-    half = 0.5 * s
-    energy = np.sqrt(half * half + shifts * shifts)
-    nonzero = energy > 0.0
-    x = np.divide(half, energy, out=np.ones_like(energy), where=nonzero)
-    y = np.divide(shifts, energy, out=np.zeros_like(energy), where=nonzero)
-    g = emission_phase_average(2.0 * energy, t1, window)
-    basis = np.empty((5, shifts.size))
+def _workspace_complex(work: np.ndarray, row: int, n: int) -> np.ndarray:
+    """n complex values over rows row and row + 1 of the C-contiguous work."""
+    return work[row:row + 2].reshape(-1).view(complex)[:n]
+
+
+def _fill_basis(basis: np.ndarray, weights, x: np.ndarray, y: np.ndarray) -> None:
+    """basis[:5] = weights times (1, x, x^2, y, xy)."""
     basis[0] = weights
     np.multiply(basis[0], x, out=basis[1])
     np.multiply(basis[1], x, out=basis[2])
     np.multiply(basis[0], y, out=basis[3])
     np.multiply(basis[3], x, out=basis[4])
-    cross = (basis * g.real).sum(axis=1) + 1j * (basis * g.imag).sum(axis=1)
-    return basis.sum(axis=1), cross
+
+
+def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
+             weights, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted sums over shifts of (1, x, x^2, y, xy) and of g times each.
+
+    g is the emission phase average at the exciton splitting 2E. weights is
+    an array matching shifts or a scalar. Every per-sample intermediate is
+    written into work[:, :n], a C-contiguous float64 array of _WORK_ROWS
+    rows and at least n = shifts.size columns: 9 x 65,536 x 8 B = 4.5 MiB
+    at the Monte Carlo chunk size. The Monte Carlo engine passes one for
+    all its chunks; without one the call makes its own of width n.
+    Per-sample arrays are reduced with ufunc sums rather than matrix
+    products, which would hand them to a multi-threaded BLAS.
+
+    Without a window, g = 1/(1 + i w) with w = 2 E T1/hbar, so Re g =
+    1/(1 + w^2) and Im g = -w Re g. With E x = s/2 and E y = h, the five
+    imaginary moments follow from the Re g weighted sums of (1, x, y) and
+    of E and h, without complex arithmetic. The windowed branch computes g
+    as :func:`emission_phase_average` does, operation for operation.
+    """
+    n = shifts.size
+    if work is None:
+        work = np.empty((_WORK_ROWS, n))
+    half = 0.5 * s
+    energy = work[7, :n]
+    np.multiply(shifts, shifts, out=energy)
+    np.add(energy, half * half, out=energy)
+    np.sqrt(energy, out=energy)
+    nonzero = work[0].view(np.bool_)[:n]  # row 0 is free until the basis is filled
+    np.greater(energy, 0.0, out=nonzero)
+    x, y = work[5, :n], work[6, :n]
+    x.fill(1.0)
+    np.divide(half, energy, out=x, where=nonzero)
+    y.fill(0.0)
+    np.divide(shifts, energy, out=y, where=nonzero)
+    if window is None:
+        basis = work[:7, :n]
+        _fill_basis(basis, weights, x, y)
+        real = basis[:5].sum(axis=1)
+        np.multiply(basis[0], energy, out=basis[5])
+        np.multiply(basis[0], shifts, out=basis[6])
+        scale = 2.0 * t1 / HBAR_UEV_PS
+        re_g = energy
+        np.multiply(re_g, scale, out=re_g)
+        np.multiply(re_g, re_g, out=re_g)
+        np.add(re_g, 1.0, out=re_g)
+        np.reciprocal(re_g, out=re_g)
+        np.multiply(basis, re_g, out=basis)
+        sums = basis.sum(axis=1)
+        # Im <g (1, x, x^2, y, xy)> = -scale <Re g (E, s/2, x s/2, h, y s/2)>.
+        imag = sums[[5, 0, 1, 6, 3]] * np.array([-scale, -scale * half, -scale * half,
+                                                  -scale, -scale * half])
+        return real, sums[:5] + 1j * imag
+    # The phase average's temporaries live in basis rows 1-4 and the energy
+    # row, g in rows 7-8; the basis is filled once g is done.
+    a = window / t1
+    b = energy
+    np.multiply(2.0, b, out=b)
+    np.multiply(b, window / HBAR_UEV_PS, out=b)
+    decay = math.expm1(-a)
+    damp = math.exp(-a) * (a / decay)
+    half_sin = work[1, :n]
+    np.multiply(0.5, b, out=half_sin)
+    np.sin(half_sin, out=half_sin)
+    sin_b = work[2, :n]
+    np.sin(b, out=sin_b)
+    denominator = _workspace_complex(work, 3, n)
+    np.multiply(1j, b, out=denominator)
+    np.add(a, denominator, out=denominator)
+    g = _workspace_complex(work, 7, n)
+    np.multiply(sin_b, -1j * damp, out=g)
+    np.multiply(half_sin, half_sin, out=half_sin)
+    np.multiply(2.0 * damp, half_sin, out=half_sin)
+    np.subtract(a, half_sin, out=half_sin)
+    np.add(g, half_sin, out=g)
+    np.divide(g, denominator, out=g)
+    # Each product overwrites the basis, so it is filled again in between.
+    basis = work[:5, :n]
+    _fill_basis(basis, weights, x, y)
+    real = basis.sum(axis=1)
+    np.multiply(basis, g.real, out=basis)
+    cross_real = basis.sum(axis=1)
+    _fill_basis(basis, weights, x, y)
+    np.multiply(basis, g.imag, out=basis)
+    return real, cross_real + 1j * basis.sum(axis=1)
 
 
 def _rho_from_moments(real: np.ndarray, cross: np.ndarray) -> np.ndarray:
@@ -353,12 +453,10 @@ def time_averaged_rho(s: float, h_z: float, t1: float, window: float | None = No
     the moment engine: 0.5 (u u^dag + v v^dag + g u v^dag + h.c.), with g
     the closed-form phase average of :func:`emission_phase_average`.
     """
+    _check_finite(s=s, h_z=h_z)
     if s < 0:
         raise ValueError("s must be >= 0")
-    if not t1 > 0:
-        raise ValueError("t1 must be > 0")
-    if window is not None and not window > 0:
-        raise ValueError("window must be > 0")
+    _check_t1_window(t1, window)
     return _rho_from_moments(*_moments(s, np.array([float(h_z)]), t1, window, 1.0))
 
 
@@ -443,7 +541,10 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     so they share one sampler stream: each chunk of standard normals
     z = ndtri(u) is drawn once, and each point in turn adds the moments of
     its shifts sigma * z, which are bitwise the draws of its own stream.
-    Only one chunk of normals is held at a time.
+    Only one chunk of normals is held at a time, and every point's moments
+    are computed in one float64 workspace made per call: _WORK_ROWS + 1 =
+    10 rows of up to CHUNK_SAMPLES columns, 10 x 65,536 x 8 B = 5 MiB, the
+    last row holding the scaled shifts.
     """
     points = list(points)
     rhos = [None] * len(points)
@@ -468,12 +569,16 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     ((seed, n),) = streams
     real = np.zeros((len(sampled), 5))
     cross = np.zeros((len(sampled), 5), dtype=complex)
+    work = np.empty((_WORK_ROWS + 1, min(n, CHUNK_SAMPLES)))
+    kernel_work, shift_row = work[:_WORK_ROWS], work[_WORK_ROWS]
     for start in range(0, n, CHUNK_SAMPLES):
         normals = overhauser_samples(seed, min(CHUNK_SAMPLES, n - start), 1.0, start)
+        shifts = shift_row[:normals.size]
         for j, i in enumerate(sampled):
             params, config = points[i]
-            chunk_real, chunk_cross = _moments(params.s, params.sigma * normals, params.t1,
-                                               config.window, 1.0)
+            np.multiply(params.sigma, normals, out=shifts)
+            chunk_real, chunk_cross = _moments(params.s, shifts, params.t1, config.window,
+                                               1.0, kernel_work)
             real[j] += chunk_real
             cross[j] += chunk_cross
     for j, i in enumerate(sampled):

@@ -39,7 +39,13 @@ from qdcascade.model import (
     sigma_from_t2star,
     time_averaged_rho,
 )
-from qdcascade.model import CHUNK_SAMPLES, _hermgauss, _moments, _rho_from_moments
+from qdcascade.model import (
+    _WORK_ROWS,
+    CHUNK_SAMPLES,
+    _hermgauss,
+    _moments,
+    _rho_from_moments,
+)
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -322,6 +328,84 @@ class TestMomentAverage:
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
+def reference_moments(s, shifts, t1, window, weights):
+    """The moment sums with g from emission_phase_average: per-call arrays,
+    one pairwise sum per product row of the basis with Re g and Im g."""
+    half = 0.5 * s
+    energy = np.sqrt(half * half + shifts * shifts)
+    nonzero = energy > 0.0
+    x = np.divide(half, energy, out=np.ones_like(energy), where=nonzero)
+    y = np.divide(shifts, energy, out=np.zeros_like(energy), where=nonzero)
+    g = emission_phase_average(2.0 * energy, t1, window)
+    basis = np.empty((5, shifts.size))
+    basis[0] = weights
+    np.multiply(basis[0], x, out=basis[1])
+    np.multiply(basis[1], x, out=basis[2])
+    np.multiply(basis[0], y, out=basis[3])
+    np.multiply(basis[3], x, out=basis[4])
+    cross = (basis * g.real).sum(axis=1) + 1j * (basis * g.imag).sum(axis=1)
+    return basis.sum(axis=1), cross
+
+
+class TestMomentKernel:
+    WINDOWS = (None, 1e-3, 350.0, 1e5)
+
+    @staticmethod
+    def chunks():
+        """A full chunk, then a shorter tail; both hold an exact zero shift."""
+        full = overhauser_samples(31, CHUNK_SAMPLES, 0.6)
+        tail = overhauser_samples(31, 999, 0.6, start=CHUNK_SAMPLES)
+        full[17] = tail[3] = 0.0
+        return full, tail
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("s", [0.0, 0.4])
+    def test_used_workspace_equals_fresh_bytes(self, s, window):
+        work = np.full((_WORK_ROWS, CHUNK_SAMPLES), np.nan)
+        for shifts in self.chunks():
+            weights = np.linspace(0.5, 1.5, shifts.size)
+            for w in (1.0, weights):
+                used = _moments(s, shifts, 430.0, window, w, work)
+                fresh = _moments(s, shifts, 430.0, window, w)
+                assert used[0].tobytes() == fresh[0].tobytes()
+                assert used[1].tobytes() == fresh[1].tobytes()
+
+    @pytest.mark.parametrize("window", WINDOWS[1:])
+    @pytest.mark.parametrize("s", [0.0, 0.4, 3.0])
+    def test_windowed_branch_equals_reference_bytes(self, s, window):
+        # The windowed kernel keeps the arithmetic of emission_phase_average.
+        for shifts in self.chunks():
+            for w in (1.0, np.linspace(0.5, 1.5, shifts.size)):
+                real, cross = _moments(s, shifts, 430.0, window, w)
+                ref_real, ref_cross = reference_moments(s, shifts, 430.0, window, w)
+                assert real.tobytes() == ref_real.tobytes()
+                assert cross.tobytes() == ref_cross.tobytes()
+
+    @hypothesis_settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        s=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        sigma=st.floats(1e-3, 5.0),
+        t1=st.floats(20.0, 3000.0),
+        order=st.integers(3, 64),
+        sampled=st.booleans(),
+    )
+    def test_unwindowed_closed_form_matches_phase_average(self, s, sigma, t1, order, sampled):
+        # Odd Gauss-Hermite orders put a node at h = 0; the sampled shifts
+        # carry an exact zero and uneven weights.
+        if sampled:
+            rng = np.random.default_rng(order)
+            shifts = np.concatenate([[0.0], rng.normal(scale=sigma, size=40 * order)])
+            weights = rng.uniform(0.1, 2.0, size=shifts.size)
+        else:
+            nodes, gh_weights = _hermgauss(order)
+            shifts = np.sqrt(2.0) * sigma * nodes
+            weights = gh_weights / np.sqrt(np.pi)
+        real, cross = _moments(s, shifts, t1, None, weights)
+        ref_real, ref_cross = reference_moments(s, shifts, t1, None, weights)
+        assert real.tobytes() == ref_real.tobytes()
+        assert np.abs(cross - ref_cross).max() <= 1e-15 * weights.sum()
+
+
 class TestMonteCarloRho:
     def test_zero_sigma_equals_fixed_shift(self):
         params = PhysicalParams(s=0.8, t1=430.0, sigma=0.0, k=1.0)
@@ -541,6 +625,32 @@ class TestAnalyticFidelity:
 
     def test_reference_point(self):
         assert abs(analytic_fidelity(0.4, 0.41, 430.0, 0.99) - 0.8148) < 1e-4
+
+
+class TestPublicInputChecks:
+    # Unchecked, each of these returned NaN, a meaningless number or a value
+    # for a negative lifetime.
+    @pytest.mark.parametrize("call, message", [
+        (lambda: analytic_fidelity(math.nan, 0.41, 430.0, 0.99), "s must be finite"),
+        (lambda: analytic_fidelity(0.4, math.inf, 430.0, 1.0), "sigma must be finite"),
+        (lambda: analytic_fidelity(0.4, 0.41, math.inf, 1.0), "t1 must be finite and > 0"),
+        (lambda: analytic_fidelity(0.4, 0.41, 0.0, 1.0), "t1 must be finite and > 0"),
+        (lambda: time_averaged_rho(math.nan, 0.1, 430.0), "s must be finite"),
+        (lambda: time_averaged_rho(0.4, math.inf, 430.0), "h_z must be finite"),
+        (lambda: time_averaged_rho(0.4, 0.1, math.nan), "t1 must be finite and > 0"),
+        (lambda: time_averaged_rho(0.4, 0.1, 430.0, math.inf), "window must be finite and > 0"),
+        (lambda: time_averaged_rho(0.4, 0.1, 430.0, 0.0), "window must be finite and > 0"),
+        (lambda: emission_phase_average(1.0, -430.0), "t1 must be finite and > 0"),
+        (lambda: emission_phase_average(1.0, math.inf), "t1 must be finite and > 0"),
+        (lambda: emission_phase_average(1.0, 430.0, math.inf), "window must be finite and > 0"),
+        (lambda: emission_phase_average(1.0, 430.0, math.nan), "window must be finite and > 0"),
+        (lambda: emission_phase_average(np.ones(3), 430.0, -1.0), "window must be finite and > 0"),
+    ])
+    def test_rejects_non_finite_and_non_positive(self, call, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestPhysicalParams:
