@@ -335,9 +335,10 @@ _RHO_FROM_MOMENTS = _moment_map()
 CHUNK_SAMPLES = 65_536
 
 # Rows of the _moments workspace. Unwindowed: seven basis rows and the
-# energy row. Windowed: five basis rows, x and y, and the complex phase
-# average over rows 7-8.
-_WORK_ROWS = 9
+# energy row. Windowed: five basis rows, five product rows that hold x, y
+# and the energy until the basis is filled, and the complex phase average
+# over rows 10-11.
+_WORK_ROWS = 12
 
 
 def _workspace_complex(work: np.ndarray, row: int, n: int) -> np.ndarray:
@@ -361,7 +362,7 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     g is the emission phase average at the exciton splitting 2E. weights is
     an array matching shifts or a scalar. Every per-sample intermediate is
     written into work[:, :n], a C-contiguous float64 array of _WORK_ROWS
-    rows and at least n = shifts.size columns: 9 x 65,536 x 8 B = 4.5 MiB
+    rows and at least n = shifts.size columns: 12 x 65,536 x 8 B = 6 MiB
     at the Monte Carlo chunk size. The Monte Carlo engine passes one for
     all its chunks; without one the call makes its own of width n.
     Per-sample arrays are reduced with ufunc sums rather than matrix
@@ -407,7 +408,7 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
                                                   -scale, -scale * half])
         return real, sums[:5] + 1j * imag
     # The phase average's temporaries live in basis rows 1-4 and the energy
-    # row, g in rows 7-8; the basis is filled once g is done.
+    # row, g in rows 10-11; the basis is filled once g is done.
     a = window / t1
     b = energy
     np.multiply(2.0, b, out=b)
@@ -422,22 +423,19 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     denominator = _workspace_complex(work, 3, n)
     np.multiply(1j, b, out=denominator)
     np.add(a, denominator, out=denominator)
-    g = _workspace_complex(work, 7, n)
+    g = _workspace_complex(work, 10, n)
     np.multiply(sin_b, -1j * damp, out=g)
     np.multiply(half_sin, half_sin, out=half_sin)
     np.multiply(2.0 * damp, half_sin, out=half_sin)
     np.subtract(a, half_sin, out=half_sin)
     np.add(g, half_sin, out=g)
     np.divide(g, denominator, out=g)
-    # Each product overwrites the basis, so it is filled again in between.
     basis = work[:5, :n]
     _fill_basis(basis, weights, x, y)
-    real = basis.sum(axis=1)
-    np.multiply(basis, g.real, out=basis)
-    cross_real = basis.sum(axis=1)
-    _fill_basis(basis, weights, x, y)
+    np.multiply(basis, g.real, out=work[5:10, :n])
+    sums = work[:10, :n].sum(axis=1)  # the real moments, then the Re g ones
     np.multiply(basis, g.imag, out=basis)
-    return real, cross_real + 1j * basis.sum(axis=1)
+    return sums[:5], sums[5:] + 1j * basis.sum(axis=1)
 
 
 def _rho_from_moments(real: np.ndarray, cross: np.ndarray) -> np.ndarray:
@@ -543,8 +541,8 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     its shifts sigma * z, which are bitwise the draws of its own stream.
     Only one chunk of normals is held at a time, and every point's moments
     are computed in one float64 workspace made per call: _WORK_ROWS + 1 =
-    10 rows of up to CHUNK_SAMPLES columns, 10 x 65,536 x 8 B = 5 MiB, the
-    last row holding the scaled shifts.
+    13 rows of up to CHUNK_SAMPLES columns, 13 x 65,536 x 8 B = 6.5 MiB,
+    the last row holding the scaled shifts.
     """
     points = list(points)
     rhos = [None] * len(points)
