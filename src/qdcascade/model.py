@@ -187,9 +187,10 @@ class PhysicalParams:
     tau_s: float | None = None
 
     def __post_init__(self) -> None:
-        _check_finite(s=self.s, t1=self.t1)
-        if self.sigma is not None:
-            _check_finite(sigma=self.sigma)
+        for name in ("s", "t1", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.s < 0:
             raise ValueError("s must be >= 0")
         if not self.t1 > 0:
@@ -257,8 +258,8 @@ class SimConfig:
             raise ValueError("n_samples must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.window is not None:
-            _check_positive("window", self.window)
+        if self.window is not None and not 0 < self.window < math.inf:
+            raise ValueError("window must be finite and > 0")
         if self.quadrature not in QUADRATURE_MODES:
             raise ValueError(f"quadrature must be one of {QUADRATURE_MODES}")
         if not 3 <= self.gh_order <= 64:
