@@ -27,7 +27,6 @@ PS_PER_NS = 1e3
 PS_PER_US = 1e6
 
 QUADRATURE_MODES = ("monte_carlo", "gauss_hermite")
-COMPOSITION_VARIANTS = ("quadratic", "linear")
 
 # Agreement required between an explicit sigma and the one implied by a
 # simultaneously given T2*, in ueV.
@@ -143,18 +142,10 @@ class SpeciesParams:
             raise ValueError(f"species fractions sum to {total!r}, expected 1")
 
 
-def sigma_from_composition(species: SpeciesParams, variant: str = "quadratic") -> float:
-    """Spin-bath sigma from the nuclear composition.
-
-    variant "quadratic": sigma = sqrt(sum x_n A_n^2 I_n(I_n+1) / N), which is
-    dimensionally consistent (result in ueV). variant "linear" keeps A_n to
-    the first power, as the expression is sometimes quoted; its result is
-    labelled ueV for comparison purposes only.
-    """
-    if variant not in COMPOSITION_VARIANTS:
-        raise ValueError(f"variant must be one of {COMPOSITION_VARIANTS}")
-    power = 2 if variant == "quadratic" else 1
-    acc = sum(sp.fraction * sp.hyperfine**power * sp.spin * (sp.spin + 1.0) for sp in species.species)
+def sigma_from_composition(species: SpeciesParams) -> float:
+    """Spin-bath sigma = sqrt(sum x_n A_n^2 I_n(I_n+1) / N) from the nuclear
+    composition, in ueV."""
+    acc = sum(sp.fraction * sp.hyperfine**2 * sp.spin * (sp.spin + 1.0) for sp in species.species)
     return float(np.sqrt(acc / species.n_nuclei))
 
 
@@ -266,34 +257,72 @@ class SimConfig:
             raise ValueError("gh_order must lie in [3, 64]")
 
 
+def _phase_average(delta: np.ndarray, t1: float, window: float | None, re_g: np.ndarray,
+                   im_g: np.ndarray, scratch: np.ndarray) -> None:
+    """Write Re g and Im g of the emission phase average into re_g and im_g.
+
+    g is the average of exp(-i delta t / hbar) over the delay density
+    exp(-t/T1)/T1, truncated to [0, window] and renormalized when a window
+    is given. delta is a float array of splittings (ueV), re_g and im_g are
+    float rows of its size, and scratch holds three more such rows, used
+    only with a window. delta is not written. Real arithmetic only:
+
+    - No window: g = 1/(1 + i w) with w = delta T1/hbar, so Re g =
+      1/(1 + w^2) and Im g = -w Re g.
+    - Window W: g = (expm1(-x)/x) / (expm1(-a)/a) with x = a + i b,
+      a = W/T1 and b = delta W/hbar. a is one scalar, so
+      (a/expm1(-a)) expm1(-x) = nr + i ni with nr = a - 2 damp sin^2(b/2),
+      ni = -damp sin b and damp = exp(-a) a/expm1(-a) < 0. The terms of nr
+      share a sign, so there is no cancellation at small a or b. Then
+      g = (nr + i ni)(a - i b)/(a^2 + b^2).
+    """
+    if window is None:
+        minus_w = im_g
+        np.multiply(delta, -(t1 / HBAR_UEV_PS), out=minus_w)
+        np.multiply(minus_w, minus_w, out=re_g)
+        np.add(re_g, 1.0, out=re_g)
+        np.reciprocal(re_g, out=re_g)
+        np.multiply(minus_w, re_g, out=im_g)
+        return
+    a = window / t1
+    damp = math.exp(-a) * (a / math.expm1(-a))
+    b, nr, ni = scratch[0], scratch[1], scratch[2]
+    np.multiply(delta, window / HBAR_UEV_PS, out=b)
+    np.multiply(0.5, b, out=nr)
+    np.sin(nr, out=nr)
+    np.multiply(nr, nr, out=nr)
+    np.multiply(2.0 * damp, nr, out=nr)
+    np.subtract(a, nr, out=nr)
+    np.sin(b, out=ni)
+    np.multiply(ni, -damp, out=ni)
+    np.multiply(nr, a, out=re_g)
+    np.multiply(ni, b, out=im_g)
+    np.add(re_g, im_g, out=re_g)
+    np.multiply(ni, a, out=im_g)
+    np.multiply(nr, b, out=nr)
+    np.subtract(im_g, nr, out=im_g)
+    np.multiply(b, b, out=b)
+    np.add(b, a * a, out=b)
+    np.divide(re_g, b, out=re_g)
+    np.divide(im_g, b, out=im_g)
+
+
 def emission_phase_average(delta, t1: float, window: float | None = None):
     """Average of exp(-i delta t / hbar) over the exciton emission delay.
 
     The delay density is exp(-t/T1)/T1, truncated and renormalized to
     [0, window] when a coincidence window is given. Accepts a scalar or an
-    array of splittings delta (ueV) and returns matching complex values.
-    t1 must be finite and > 0, and the window None or finite and > 0.
+    array of splittings delta (ueV) and returns matching complex values,
+    computed by the real arithmetic the moment kernel uses (see
+    :func:`_phase_average`). t1 must be finite and > 0, and the window None
+    or finite and > 0.
     """
     _check_t1_window(t1, window)
     scalar = np.ndim(delta) == 0
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    if window is None:
-        rate = 1.0 / t1 + 1j * delta / HBAR_UEV_PS
-        g = 1.0 / (rate * t1)
-    else:
-        # expm1(-x) / x for x = a + i b, a = window / T1, b = delta window / hbar,
-        # over the same at x = a; a > 0, so x is never zero. a is one scalar, so
-        # expm1(-x) = expm1(-a) - 2 exp(-a) sin^2(b/2) - i exp(-a) sin b is built
-        # from real parts, and its real terms share a sign: no cancellation at
-        # small a or b. damp carries the normalization a / expm1(-a).
-        a = window / t1
-        b = delta * (window / HBAR_UEV_PS)
-        decay = math.expm1(-a)
-        damp = math.exp(-a) * (a / decay)
-        half_sin = np.sin(0.5 * b)
-        g = np.sin(b) * (-1j * damp)
-        g += a - (2.0 * damp) * (half_sin * half_sin)
-        g /= a + 1j * b
+    rows = np.empty((5, delta.size))
+    _phase_average(delta.ravel(), t1, window, rows[0], rows[1], rows[2:])
+    g = (rows[0] + 1j * rows[1]).reshape(delta.shape)
     return complex(g[0]) if scalar else g
 
 
@@ -335,45 +364,32 @@ _RHO_FROM_MOMENTS = _moment_map()
 # changes the summation order and with it the last bits of every output.
 CHUNK_SAMPLES = 65_536
 
-# Rows of the _moments workspace. Unwindowed: seven basis rows and the
-# energy row. Windowed: five basis rows, five product rows that hold x, y
-# and the energy until the basis is filled, and the complex phase average
-# over rows 10-11.
+# Rows of the _moments workspace: x, y, the energy E and delta = 2E in rows
+# 5-8, Re g and Im g in rows 10-11, and the windowed phase average's
+# scratch in rows 0-2. Then the five basis rows 0-4 and, over rows 5-9, the
+# basis times Re g (windowed) or the weighted E and h (unwindowed).
 _WORK_ROWS = 12
-
-
-def _workspace_complex(work: np.ndarray, row: int, n: int) -> np.ndarray:
-    """n complex values over rows row and row + 1 of the C-contiguous work."""
-    return work[row:row + 2].reshape(-1).view(complex)[:n]
-
-
-def _fill_basis(basis: np.ndarray, weights, x: np.ndarray, y: np.ndarray) -> None:
-    """basis[:5] = weights times (1, x, x^2, y, xy)."""
-    basis[0] = weights
-    np.multiply(basis[0], x, out=basis[1])
-    np.multiply(basis[1], x, out=basis[2])
-    np.multiply(basis[0], y, out=basis[3])
-    np.multiply(basis[3], x, out=basis[4])
 
 
 def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
              weights, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted sums over shifts of (1, x, x^2, y, xy) and of g times each.
 
-    g is the emission phase average at the exciton splitting 2E. weights is
-    an array matching shifts or a scalar. Every per-sample intermediate is
-    written into work[:, :n], a C-contiguous float64 array of _WORK_ROWS
-    rows and at least n = shifts.size columns: 12 x 65,536 x 8 B = 6 MiB
-    at the Monte Carlo chunk size. The Monte Carlo engine passes one for
-    all its chunks; without one the call makes its own of width n.
-    Per-sample arrays are reduced with ufunc sums rather than matrix
-    products, which would hand them to a multi-threaded BLAS.
+    g is the emission phase average at the exciton splitting 2E, written
+    by :func:`_phase_average` into two float rows. weights is an array
+    matching shifts or a scalar. Every per-sample intermediate is written
+    into work[:, :n], a C-contiguous float64 array of _WORK_ROWS rows and
+    at least n = shifts.size columns: 12 x 65,536 x 8 B = 6 MiB at the
+    Monte Carlo chunk size; no per-sample array is complex. The Monte
+    Carlo engine passes one for all its chunks; without one the call makes
+    its own of width n. Per-sample arrays are reduced with ufunc sums
+    rather than matrix products, which would hand them to a multi-threaded
+    BLAS.
 
-    Without a window, g = 1/(1 + i w) with w = 2 E T1/hbar, so Re g =
-    1/(1 + w^2) and Im g = -w Re g. With E x = s/2 and E y = h, the five
-    imaginary moments follow from the Re g weighted sums of (1, x, y) and
-    of E and h, without complex arithmetic. The windowed branch computes g
-    as :func:`emission_phase_average` does, operation for operation.
+    Without a window, Im g = -w Re g with w = 2 E T1/hbar. With E x = s/2
+    and E y = h, the five imaginary moments follow from the Re g weighted
+    sums of (1, x, y) and of E and h, so the Im g row goes unused. With a
+    window, the basis is multiplied by Re g and by Im g.
     """
     n = shifts.size
     if work is None:
@@ -390,52 +406,31 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     np.divide(half, energy, out=x, where=nonzero)
     y.fill(0.0)
     np.divide(shifts, energy, out=y, where=nonzero)
+    delta = work[8, :n]
+    np.multiply(2.0, energy, out=delta)
+    re_g, im_g = work[10, :n], work[11, :n]
+    _phase_average(delta, t1, window, re_g, im_g, work[:3, :n])
+    basis = work[:5, :n]
+    basis[0] = weights
+    np.multiply(basis[0], x, out=basis[1])
+    np.multiply(basis[1], x, out=basis[2])
+    np.multiply(basis[0], y, out=basis[3])
+    np.multiply(basis[3], x, out=basis[4])
     if window is None:
+        real = basis.sum(axis=1)
         basis = work[:7, :n]
-        _fill_basis(basis, weights, x, y)
-        real = basis[:5].sum(axis=1)
         np.multiply(basis[0], energy, out=basis[5])
         np.multiply(basis[0], shifts, out=basis[6])
-        scale = 2.0 * t1 / HBAR_UEV_PS
-        re_g = energy
-        np.multiply(re_g, scale, out=re_g)
-        np.multiply(re_g, re_g, out=re_g)
-        np.add(re_g, 1.0, out=re_g)
-        np.reciprocal(re_g, out=re_g)
         np.multiply(basis, re_g, out=basis)
         sums = basis.sum(axis=1)
         # Im <g (1, x, x^2, y, xy)> = -scale <Re g (E, s/2, x s/2, h, y s/2)>.
+        scale = 2.0 * t1 / HBAR_UEV_PS
         imag = sums[[5, 0, 1, 6, 3]] * np.array([-scale, -scale * half, -scale * half,
                                                   -scale, -scale * half])
         return real, sums[:5] + 1j * imag
-    # The phase average's temporaries live in basis rows 1-4 and the energy
-    # row, g in rows 10-11; the basis is filled once g is done.
-    a = window / t1
-    b = energy
-    np.multiply(2.0, b, out=b)
-    np.multiply(b, window / HBAR_UEV_PS, out=b)
-    decay = math.expm1(-a)
-    damp = math.exp(-a) * (a / decay)
-    half_sin = work[1, :n]
-    np.multiply(0.5, b, out=half_sin)
-    np.sin(half_sin, out=half_sin)
-    sin_b = work[2, :n]
-    np.sin(b, out=sin_b)
-    denominator = _workspace_complex(work, 3, n)
-    np.multiply(1j, b, out=denominator)
-    np.add(a, denominator, out=denominator)
-    g = _workspace_complex(work, 10, n)
-    np.multiply(sin_b, -1j * damp, out=g)
-    np.multiply(half_sin, half_sin, out=half_sin)
-    np.multiply(2.0 * damp, half_sin, out=half_sin)
-    np.subtract(a, half_sin, out=half_sin)
-    np.add(g, half_sin, out=g)
-    np.divide(g, denominator, out=g)
-    basis = work[:5, :n]
-    _fill_basis(basis, weights, x, y)
-    np.multiply(basis, g.real, out=work[5:10, :n])
+    np.multiply(basis, re_g, out=work[5:10, :n])
     sums = work[:10, :n].sum(axis=1)  # the real moments, then the Re g ones
-    np.multiply(basis, g.imag, out=basis)
+    np.multiply(basis, im_g, out=basis)
     return sums[:5], sums[5:] + 1j * basis.sum(axis=1)
 
 

@@ -71,8 +71,10 @@ class CountRecord:
     def __post_init__(self) -> None:
         if self.counts < 0:
             raise ValueError("counts must be >= 0")
-        if not self.acquisition_weight > 0:
-            raise ValueError("acquisition_weight must be > 0")
+        if not 0 < self.acquisition_weight < np.inf:
+            raise ValueError(
+                f"acquisition_weight must be finite and > 0, got {self.acquisition_weight!r}"
+            )
 
 
 @dataclass
@@ -268,21 +270,12 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     data = (projectors, counts, weights)
     scale = max(counts.sum(), 1.0)
 
-    # The latest evaluation, keyed on the bytes of theta: L-BFGS-B accepts
-    # the point it evaluated last, so the history callback and the final
-    # result reuse it instead of evaluating again.
-    latest = {}
-
-    def evaluate(theta):
-        key = theta.tobytes()
-        if key not in latest:
-            latest.clear()
-            latest[key] = _objective(theta, *data)
-        return latest[key]
-
     def objective(theta):
-        ll, gradient = evaluate(theta)
+        ll, gradient = _objective(theta, *data)
         return -ll / scale, -gradient / scale
+
+    def record(intermediate_result):  # scipy passes the accepted step under this name
+        history.append(float(-intermediate_result.fun * scale))
 
     # Imported here: scipy.optimize would add a few tenths of a second to
     # every `import qdcascade`.
@@ -290,10 +283,9 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
 
     theta0 = np.zeros(len(_PARAM_ENTRIES))
     theta0[:4] = 0.5  # T = I/2, the maximally mixed starting point
-    history = [evaluate(theta0)[0]]
+    history = [_objective(theta0, *data)[0]]
     res = minimize(
-        objective, theta0, jac=True, method="L-BFGS-B",
-        callback=lambda theta: history.append(evaluate(theta)[0]),
+        objective, theta0, jac=True, method="L-BFGS-B", callback=record,
         # A line search gives up after 20 evaluations, so maxiter, not
         # maxfun, is the budget that ends a long run.
         options={"maxiter": max_iterations, "maxfun": 100 * max_iterations,
@@ -301,7 +293,7 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     )
     return ReconstructionResult(
         rho=_rho_of(res.x),
-        log_likelihood=evaluate(res.x)[0],
+        log_likelihood=float(-res.fun * scale),
         iterations=int(res.nit),
         converged=bool(res.success),
         history=np.array(history),

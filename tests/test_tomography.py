@@ -103,6 +103,13 @@ class TestSimulateCounts:
             simulate_counts(np.eye(4), standard_settings("six_basis"), 100)
 
 
+class TestCountRecord:
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_rejects_weight_not_finite_and_positive(self, weight):
+        with pytest.raises(ValueError, match="acquisition_weight must be finite and > 0"):
+            CountRecord(setting_from_label("HH"), 10, acquisition_weight=weight)
+
+
 class TestVisibility:
     def test_extremes(self):
         co = CountRecord(setting_from_label("HH"), 1000)
@@ -324,6 +331,13 @@ class TestCountsCSV:
         )
         first_line = path.read_text(encoding="utf-8").splitlines()[0]
         assert first_line == "label,counts,weight"
+
+    @pytest.mark.parametrize("weight", ["inf", "nan", "0.0", "-2.5"])
+    def test_rejects_weight_not_finite_and_positive(self, tmp_path, weight):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"label,counts,weight\nHH,10,1.0\nHV,3,{weight}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="acquisition_weight must be finite and > 0"):
+            load_count_records_csv(path)
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
