@@ -62,15 +62,18 @@ class BasisSetting:
         return tensor(self.projector_xx, self.projector_x)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CountRecord:
+    """Coincidences counted in one setting; counts is an integer >= 0, not a bool."""
+
     setting: BasisSetting
     counts: int
     acquisition_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.counts < 0:
-            raise ValueError("counts must be >= 0")
+        if (isinstance(self.counts, bool) or not isinstance(self.counts, (int, np.integer))
+                or self.counts < 0):
+            raise ValueError(f"counts must be an integer >= 0, got {self.counts!r}")
         if not 0 < self.acquisition_weight < np.inf:
             raise ValueError(
                 f"acquisition_weight must be finite and > 0, got {self.acquisition_weight!r}"
@@ -110,10 +113,15 @@ def standard_settings(mode: str) -> list[BasisSetting]:
     return [setting_from_label(label) for label in labels]
 
 
+def _probabilities(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Born-rule probabilities <k|rho|k> for each row k of kets."""
+    return np.real(np.einsum("ia,ab,ib->i", kets.conj(), rho, kets))
+
+
 def expected_probability(rho, setting: BasisSetting) -> float:
     """Born-rule probability of a coincidence in the given setting."""
-    projector = setting.product_ket()
-    return float(np.real(projector.conj() @ np.asarray(rho, dtype=complex) @ projector))
+    ket = setting.product_ket()
+    return float(_probabilities(np.asarray(rho, dtype=complex), ket[None, :])[0])
 
 
 def simulate_counts(rho, settings, n_per_setting: int, seed: int = 0,
@@ -124,13 +132,17 @@ def simulate_counts(rho, settings, n_per_setting: int, seed: int = 0,
     poisson=True the counts are Poisson draws around that mean, reproducible
     for a given seed; otherwise the rounded expectations are returned. The
     draws read the Philox stream keyed (seed, 1), apart from the Overhauser
-    sampler's stream keyed (seed, 0).
+    sampler's stream keyed (seed, 0), so with poisson=True the seed must be
+    an integer in [0, 2**64).
     """
     rho = assert_density_matrix(rho)
     if n_per_setting <= 0:
         raise ValueError("n_per_setting must be > 0")
-    means = np.array([max(expected_probability(rho, s), 0.0) for s in settings])
-    means *= n_per_setting
+    if poisson and (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                    or not 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    kets = np.array([s.product_ket() for s in settings]).reshape(-1, 4)
+    means = np.maximum(_probabilities(rho, kets), 0.0) * n_per_setting
     if poisson:
         key = np.array([seed, _POISSON_STREAM], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
@@ -176,30 +188,23 @@ def correlation_visibilities(rho) -> tuple[float, float, float]:
     return c_hv, c_da, c_rl
 
 
-# Lower-triangular parametrization rho = T^dag T / Tr(T^dag T): 4 real
-# diagonal entries followed by (re, im) pairs for the 6 sub-diagonal ones.
-_PARAM_ENTRIES: list[tuple[int, int, complex]] = [(i, i, 1.0 + 0j) for i in range(4)]
-for _row in range(4):
-    for _col in range(_row):
-        _PARAM_ENTRIES.append((_row, _col, 1.0 + 0j))
-        _PARAM_ENTRIES.append((_row, _col, 1j))
-_P_ROWS = np.array([e[0] for e in _PARAM_ENTRIES])
-_P_COLS = np.array([e[1] for e in _PARAM_ENTRIES])
-_P_COEF = np.array([e[2] for e in _PARAM_ENTRIES])
+# Lower-triangular parametrization rho = T^dag T / Tr(T^dag T): theta holds
+# the 4 real diagonal entries of T, then (re, im) pairs of the 6 sub-diagonal
+# entries, row by row.
+_DIAGONAL = np.diag_indices(4)
+_LOWER = np.tril_indices(4, -1)
 
 _PROB_FLOOR = 1e-300
 
 
-def _triangular(theta: np.ndarray) -> np.ndarray:
+def _rho_of(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """T, rho and Tr(T^dag T) for the parameters theta."""
     t = np.zeros((4, 4), dtype=complex)
-    np.add.at(t, (_P_ROWS, _P_COLS), theta * _P_COEF)
-    return t
-
-
-def _rho_of(theta: np.ndarray) -> np.ndarray:
-    t = _triangular(theta)
+    t[_DIAGONAL] = theta[:4]
+    t[_LOWER] = theta[4::2] + 1j * theta[5::2]
     gram = t.conj().T @ t
-    return gram / np.trace(gram).real
+    scale = np.trace(gram).real
+    return t, gram / scale, scale
 
 
 def _objective(theta, projectors, counts, weights) -> tuple[float, np.ndarray]:
@@ -207,24 +212,24 @@ def _objective(theta, projectors, counts, weights) -> tuple[float, np.ndarray]:
     rho and the probabilities.
 
     Poisson likelihood with the overall flux profiled out, up to a
-    counts-only constant.
+    counts-only constant. With G = sum_i (dll/dp_i) pi_i pi_i^dag and
+    M = 2 T (G - Tr(G rho) I) / Tr(T^dag T), the derivative of ll in
+    Re T_ab is Re M_ab, and in Im T_ab it is Im M_ab.
     """
-    t = _triangular(theta)
-    gram = t.conj().T @ t
-    scale = np.trace(gram).real
-    rho = gram / scale
-    probs = np.real(np.einsum("ia,ab,ib->i", projectors.conj(), rho, projectors))
-    probs = np.clip(probs, _PROB_FLOOR, None)
+    t, rho, scale = _rho_of(theta)
+    probs = np.clip(_probabilities(rho, projectors), _PROB_FLOOR, None)
     total = counts.sum()
     ll = float(counts @ np.log(probs) - total * np.log(weights @ probs))
     dll_dp = counts / probs - total * weights / (weights @ probs)
-    mapped = projectors @ t.T  # row i is T pi_i
-    # d p_i / d theta_k for the entry (a_k, b_k) with coefficient c_k:
-    #   (2 Re(conj((T pi_i)_a) c_k (pi_i)_b) - p_i 2 Re(conj(T_ab) c_k)) / scale
-    pair = np.conj(mapped)[:, _P_ROWS] * projectors[:, _P_COLS] * _P_COEF
-    trace_part = 2.0 * np.real(np.conj(t[_P_ROWS, _P_COLS]) * _P_COEF)
-    dp = (2.0 * np.real(pair) - probs[:, None] * trace_part[None, :]) / scale
-    return ll, dll_dp @ dp
+    g = (projectors.T * dll_dp) @ projectors.conj()
+    # Tr(G rho) = sum_i (dll/dp_i) p_i, zero up to rounding for a flux-profiled ll
+    g[_DIAGONAL] -= dll_dp @ probs
+    m = 2.0 * (t @ g) / scale
+    gradient = np.empty(16)
+    gradient[:4] = m[_DIAGONAL].real
+    gradient[4::2] = m[_LOWER].real
+    gradient[5::2] = m[_LOWER].imag
+    return ll, gradient
 
 
 def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
@@ -281,7 +286,7 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     # every `import qdcascade`.
     from scipy.optimize import minimize
 
-    theta0 = np.zeros(len(_PARAM_ENTRIES))
+    theta0 = np.zeros(16)
     theta0[:4] = 0.5  # T = I/2, the maximally mixed starting point
     history = [_objective(theta0, *data)[0]]
     res = minimize(
@@ -292,7 +297,7 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
                  "ftol": _MLE_FTOL, "gtol": _MLE_GTOL},
     )
     return ReconstructionResult(
-        rho=_rho_of(res.x),
+        rho=_rho_of(res.x)[1],
         log_likelihood=float(-res.fun * scale),
         iterations=int(res.nit),
         converged=bool(res.success),

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -102,12 +103,32 @@ class TestSimulateCounts:
         with pytest.raises(InvalidDensityMatrixError):
             simulate_counts(np.eye(4), standard_settings("six_basis"), 100)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, None])
+    def test_poisson_rejects_seed_outside_uint64(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            simulate_counts(MIXED, standard_settings("six_basis"), 100, seed=seed, poisson=True)
+
+    def test_poisson_accepts_largest_seed(self):
+        settings = standard_settings("six_basis")
+        records = simulate_counts(MIXED, settings, 100, seed=np.uint64(2**64 - 1), poisson=True)
+        assert len(records) == len(settings)
+
 
 class TestCountRecord:
     @pytest.mark.parametrize("weight", [0.0, -1.0, np.inf, -np.inf, np.nan])
     def test_rejects_weight_not_finite_and_positive(self, weight):
         with pytest.raises(ValueError, match="acquisition_weight must be finite and > 0"):
             CountRecord(setting_from_label("HH"), 10, acquisition_weight=weight)
+
+    @pytest.mark.parametrize("counts", [-1, np.nan, 1.5, True, False])
+    def test_rejects_counts_not_a_non_negative_integer(self, counts):
+        with pytest.raises(ValueError, match=f"counts must be an integer >= 0, got {counts!r}"):
+            CountRecord(setting_from_label("HH"), counts)
+
+    def test_frozen(self):
+        record = CountRecord(setting_from_label("HH"), 10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.acquisition_weight = np.inf
 
 
 class TestVisibility:
@@ -184,8 +205,7 @@ class TestMLEReconstruct:
 
     def test_degenerate_counts_still_physical(self):
         records = simulate_counts(MIXED, standard_settings("sixteen_basis"), 1000)
-        for record in records[1:]:
-            record.counts = 0
+        records[1:] = [dataclasses.replace(record, counts=0) for record in records[1:]]
         result = mle_reconstruct(records)
         w = np.linalg.eigvalsh(result.rho)
         assert w.min() >= -1e-10
@@ -288,7 +308,8 @@ class TestMLEReconstruct:
         truth = state_log_likelihood(rho, records)
         assert result.log_likelihood >= truth - 1e-9 * max(1.0, abs(truth))
 
-    def test_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("case", ["unit_weights", "uneven_weights", "zero_count"])
+    def test_gradient_matches_finite_differences(self, case):
         from qdcascade.tomography import _objective
 
         rng = np.random.default_rng(71)
@@ -297,6 +318,10 @@ class TestMLEReconstruct:
         projectors = np.array([r.setting.product_ket() for r in records])
         counts = np.array([float(r.counts) for r in records])
         weights = np.ones(len(records))
+        if case == "uneven_weights":
+            weights = rng.uniform(0.5, 2.0, len(records))
+        elif case == "zero_count":
+            counts[3] = 0.0
         theta = rng.normal(scale=0.4, size=16)
         analytic = _objective(theta, projectors, counts, weights)[1]
         step = 1e-6
@@ -315,7 +340,7 @@ class TestCountsCSV:
         path = tmp_path / "counts.csv"
         records = simulate_counts(PHI_PLUS_RHO, standard_settings("six_basis"), 12345,
                                   seed=3, poisson=True)
-        records[2].acquisition_weight = 2.5
+        records[2] = dataclasses.replace(records[2], acquisition_weight=2.5)
         save_count_records_csv(records, path)
         loaded = load_count_records_csv(path)
         assert [r.setting.label for r in loaded] == [r.setting.label for r in records]
