@@ -31,16 +31,11 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def hermitian_deviation(m) -> float:
-    """max |m - m^dag| over all entries."""
-    m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
-
-
-def assert_density_matrix(rho, trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:
+def assert_density_matrix(rho) -> np.ndarray:
     """Validate and return a density matrix as a complex array.
 
-    Checks finiteness, Hermiticity, unit trace and positivity; raises
+    Checks finiteness, Hermiticity (HERMITICITY_TOL on max |rho - rho^dag|),
+    unit trace (TRACE_TOL) and positivity (PSD_TOL); raises
     InvalidDensityMatrixError on the first violation.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -48,13 +43,13 @@ def assert_density_matrix(rho, trace_tol: float = TRACE_TOL, psd_tol: float = PS
         raise InvalidDensityMatrixError("density matrix must be square")
     if not np.isfinite(rho).all():
         raise InvalidDensityMatrixError("density matrix has non-finite entries")
-    dev = hermitian_deviation(rho)
+    dev = float(np.abs(rho - rho.conj().T).max())
     if dev > HERMITICITY_TOL:
         raise InvalidDensityMatrixError(f"not Hermitian (deviation {dev:.3e})")
     trace = np.trace(rho).real
-    if abs(trace - 1.0) > trace_tol:
+    if abs(trace - 1.0) > TRACE_TOL:
         raise InvalidDensityMatrixError(f"trace is {trace!r}, expected 1")
     w_min = np.linalg.eigvalsh(rho).min()
-    if w_min < -psd_tol:
+    if w_min < -PSD_TOL:
         raise InvalidDensityMatrixError(f"negative eigenvalue {w_min:.3e}")
     return rho

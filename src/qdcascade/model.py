@@ -50,6 +50,34 @@ def _check_t1_window(t1: float, window: float | None) -> None:
         _check_positive("window", window)
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
+def _check_seed(seed) -> None:
+    """The one seed rule: an integer (not a bool) in [0, 2**64)."""
+    if not _is_integer(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+# The stream table: each random purpose reads the Philox stream keyed by
+# the two words (seed, stream). A new purpose takes the next number.
+_OVERHAUSER_STREAM = 0  # Overhauser shifts, overhauser_samples
+_POISSON_STREAM = 1  # Poisson coincidence counts, tomography.simulate_counts
+
+
+def _philox(seed, stream: int) -> np.random.Philox:
+    """Philox bit generator of one stream of the stream table.
+
+    Raises ValueError for a seed that breaks :func:`_check_seed`. The
+    two-word key (seed, 0) is the integer key seed, so stream 0 keeps the
+    draws of the earlier single-word key.
+    """
+    _check_seed(seed)
+    return np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+
+
 def sigma_from_t2star(t2_star_ns: float) -> float:
     """Overhauser standard deviation sigma = hbar / T2*, in ueV for T2* in ns."""
     if not t2_star_ns > 0:
@@ -225,7 +253,7 @@ class SimConfig:
     """Averaging controls.
 
     n_samples: Monte Carlo draws of the Overhauser shift.
-    seed: 64-bit seed for the counter-based sampler.
+    seed: seed of the counter-based sampler, an unsigned 64-bit integer.
     window: finite coincidence window in ps; None averages over all
         emission times.
     quadrature: "monte_carlo" or "gauss_hermite".
@@ -241,14 +269,13 @@ class SimConfig:
     gh_order: int = 32
 
     def __post_init__(self) -> None:
-        for name in ("n_samples", "seed", "gh_order"):
+        for name in ("n_samples", "gh_order"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_seed(self.seed)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
         if self.window is not None and not 0 < self.window < math.inf:
             raise ValueError("window must be finite and > 0")
         if self.quadrature not in QUADRATURE_MODES:
@@ -458,11 +485,11 @@ def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.nd
     """Deterministic Gaussian Overhauser shifts h_z ~ N(0, sigma), in ueV.
 
     Sample i is a pure function of (seed, start + i): it is derived from
-    Philox counter block start + i keyed by the seed, so any contiguous
-    chunk reproduces the matching slice of the full stream regardless of
-    how the work is partitioned. As a two-word Philox key this is
-    (seed, 0); the Poisson count draw of the tomography simulation reads
-    its own stream (seed, 1).
+    Philox counter block start + i of the Overhauser stream in the stream
+    table (see :func:`_philox`), so any contiguous chunk reproduces the
+    matching slice of the full stream regardless of how the work is
+    partitioned. n and start are integers, n >= 1 and start >= 0, and
+    sigma is finite and >= 0.
 
     Grid averages draw the standard normals once per chunk, with
     sigma = 1, and scale them by each point's sigma (see
@@ -472,13 +499,16 @@ def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.nd
     """
     from scipy.special import ndtri
 
+    for name, value in (("n", n), ("start", start)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if start < 0:
         raise ValueError("start must be >= 0")
-    bitgen = np.random.Philox(key=seed)
+    bitgen = _philox(seed, _OVERHAUSER_STREAM)
     if start:
         bitgen.advance(start)  # Philox advances whole 4-word counter blocks
     raw = bitgen.random_raw(4 * n)[::4]

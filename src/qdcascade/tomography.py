@@ -9,11 +9,13 @@ reconstructed by maximum likelihood.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, assert_density_matrix, tensor
+from .model import _POISSON_STREAM, _is_integer, _philox
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -32,9 +34,6 @@ SIX_BASIS_LABELS = ("HH", "HV", "DD", "DA", "RR", "RL")
 SIXTEEN_BASIS_LABELS = tuple(a + b for a in "HVDR" for b in "HVDR")
 
 MLE_DEFAULT_MAX_ITERATIONS = 100_000
-# Second word of the two-word Philox key of the Poisson count draw. The
-# Overhauser sampler's key=seed is the two-word key (seed, 0).
-_POISSON_STREAM = 1
 # L-BFGS-B stopping rule on the count-scaled objective -ll/N: relative
 # change of the objective, and largest gradient component.
 _MLE_FTOL = 1e-12
@@ -51,15 +50,18 @@ class ZeroCountsError(ValueError):
 
 @dataclass(frozen=True)
 class BasisSetting:
-    """Analyzer states for the two arms; the first letter of the label is
-    the first-photon arm, the second letter the second-photon arm."""
+    """Analyzer setting named by two letters of POLARIZATION_KETS: the first
+    letter is the first-photon arm, the second letter the second-photon arm."""
 
-    projector_xx: np.ndarray
-    projector_x: np.ndarray
     label: str
 
+    def __post_init__(self) -> None:
+        if (not isinstance(self.label, str) or len(self.label) != 2
+                or any(ch not in POLARIZATION_KETS for ch in self.label)):
+            raise ValueError(f"unknown polarization label {self.label!r}")
+
     def product_ket(self) -> np.ndarray:
-        return tensor(self.projector_xx, self.projector_x)
+        return tensor(POLARIZATION_KETS[self.label[0]], POLARIZATION_KETS[self.label[1]])
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,7 @@ class CountRecord:
     acquisition_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if (isinstance(self.counts, bool) or not isinstance(self.counts, (int, np.integer))
-                or self.counts < 0):
+        if not _is_integer(self.counts) or self.counts < 0:
             raise ValueError(f"counts must be an integer >= 0, got {self.counts!r}")
         if not 0 < self.acquisition_weight < np.inf:
             raise ValueError(
@@ -91,12 +92,6 @@ class ReconstructionResult:
     gradient_norm: float = float("nan")
 
 
-def setting_from_label(label: str) -> BasisSetting:
-    if len(label) != 2 or any(ch not in POLARIZATION_KETS for ch in label):
-        raise ValueError(f"unknown polarization label {label!r}")
-    return BasisSetting(POLARIZATION_KETS[label[0]], POLARIZATION_KETS[label[1]], label)
-
-
 def standard_settings(mode: str) -> list[BasisSetting]:
     """Measurement settings for the two standard acquisition modes.
 
@@ -110,7 +105,7 @@ def standard_settings(mode: str) -> list[BasisSetting]:
         labels = SIXTEEN_BASIS_LABELS
     else:
         raise ValueError("mode must be 'six_basis' or 'sixteen_basis'")
-    return [setting_from_label(label) for label in labels]
+    return [BasisSetting(label) for label in labels]
 
 
 def _probabilities(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -128,25 +123,21 @@ def simulate_counts(rho, settings, n_per_setting: int, seed: int = 0,
                     poisson: bool = False) -> list[CountRecord]:
     """Coincidence counts for each setting.
 
-    The expectation is n_per_setting times the Born-rule probability. With
-    poisson=True the counts are Poisson draws around that mean, reproducible
-    for a given seed; otherwise the rounded expectations are returned. The
-    draws read the Philox stream keyed (seed, 1), apart from the Overhauser
-    sampler's stream keyed (seed, 0), so with poisson=True the seed must be
-    an integer in [0, 2**64).
+    The expectation is n_per_setting (finite and > 0) times the Born-rule
+    probability. With poisson=True the counts are Poisson draws around that
+    mean from the Poisson stream of the stream table in
+    :mod:`qdcascade.model` (see ``_philox``), reproducible for a given seed
+    under the same seed rule as SimConfig; otherwise the rounded
+    expectations are returned. settings may be any iterable.
     """
     rho = assert_density_matrix(rho)
-    if n_per_setting <= 0:
-        raise ValueError("n_per_setting must be > 0")
-    if poisson and (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-                    or not 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    settings = list(settings)
+    if not 0 < n_per_setting < math.inf:
+        raise ValueError(f"n_per_setting must be finite and > 0, got {n_per_setting!r}")
     kets = np.array([s.product_ket() for s in settings]).reshape(-1, 4)
     means = np.maximum(_probabilities(rho, kets), 0.0) * n_per_setting
     if poisson:
-        key = np.array([seed, _POISSON_STREAM], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        values = rng.poisson(means)
+        values = np.random.Generator(_philox(seed, _POISSON_STREAM)).poisson(means)
     else:
         values = np.round(means)
     return [CountRecord(s, int(v)) for s, v in zip(settings, values)]
@@ -328,7 +319,7 @@ def load_count_records_csv(path) -> list[CountRecord]:
             raise ValueError("expected CSV header label,counts,weight")
         return [
             CountRecord(
-                setting_from_label(row["label"]),
+                BasisSetting(row["label"]),
                 int(row["counts"]),
                 float(row["weight"]),
             )

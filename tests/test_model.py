@@ -46,6 +46,7 @@ from qdcascade.model import (
     _moments,
     _rho_from_moments,
 )
+from qdcascade.tomography import simulate_counts, standard_settings
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -451,7 +452,7 @@ class TestMonteCarloRho:
             config = SimConfig(n_samples=20_000, seed=3, window=window)
             rho = monte_carlo_rho(params, config)
             assert abs(np.trace(rho).real - 1.0) < 1e-12
-            assert_density_matrix(rho, psd_tol=1e-10)
+            assert_density_matrix(rho)
 
     def test_gauss_hermite_close_to_monte_carlo(self):
         params = PhysicalParams(s=0.6, t1=430.0, sigma=0.5, k=1.0)
@@ -668,6 +669,12 @@ class TestPublicInputChecks:
         (lambda: emission_phase_average(1.0, 430.0, math.inf), "window must be finite and > 0"),
         (lambda: emission_phase_average(1.0, 430.0, math.nan), "window must be finite and > 0"),
         (lambda: emission_phase_average(np.ones(3), 430.0, -1.0), "window must be finite and > 0"),
+        (lambda: overhauser_samples(1, 4, math.nan), "sigma must be finite and >= 0"),
+        (lambda: overhauser_samples(1, 4, math.inf), "sigma must be finite and >= 0"),
+        (lambda: overhauser_samples(1, 4, -0.5), "sigma must be finite and >= 0"),
+        (lambda: overhauser_samples(1, 2.5, 1.0), "n must be an integer"),
+        (lambda: overhauser_samples(1, True, 1.0), "n must be an integer"),
+        (lambda: overhauser_samples(1, 4, 1.0, 1.5), "start must be an integer"),
     ])
     def test_rejects_non_finite_and_non_positive(self, call, message):
         with warnings.catch_warnings():
@@ -744,3 +751,27 @@ class TestSimConfig:
         numpy_ints = SimConfig(n_samples=np.int64(70_000), seed=np.uint64(5))
         assert np.array_equal(monte_carlo_rho(params, plain), monte_carlo_rho(params, numpy_ints))
         assert SimConfig(gh_order=np.int32(16)).gh_order == 16
+
+
+# The one seed rule and the Philox stream table behind every seeded call.
+_SEEDED_CALLS = {
+    "SimConfig": lambda seed: SimConfig(seed=seed),
+    "overhauser_samples": lambda seed: overhauser_samples(seed, 4, 1.0),
+    "simulate_counts": lambda seed: simulate_counts(
+        np.eye(4) / 4.0, standard_settings("six_basis"), 100, seed=seed, poisson=True),
+}
+
+
+class TestSeedRule:
+    # Unchecked, overhauser_samples(2**64 + 5, ...) read the Poisson
+    # stream of seed 5.
+    @pytest.mark.parametrize("call", _SEEDED_CALLS)
+    @pytest.mark.parametrize("seed", [2**64 + 5, 2**64, -1, True, np.bool_(True), 1.5, None])
+    def test_every_seeded_call_rejects_the_same_seeds(self, call, seed):
+        with pytest.raises(ValueError,
+                           match=rf"^seed must be an integer in \[0, 2\*\*64\), got {seed!r}$"):
+            _SEEDED_CALLS[call](seed)
+
+    @pytest.mark.parametrize("call", _SEEDED_CALLS)
+    def test_every_seeded_call_accepts_the_largest_seed(self, call):
+        _SEEDED_CALLS[call](np.uint64(2**64 - 1))
