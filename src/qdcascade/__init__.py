@@ -9,30 +9,23 @@ simulation and maximum-likelihood tomography used to characterize them.
 from .linalg import HBAR_UEV_PS, InvalidDensityMatrixError, tensor
 from .metrics import (
     EntanglementMetrics,
-    NotNormalizedError,
     concurrence,
-    concurrence_pure,
     fidelity_phi_plus,
     metrics_from_rho,
     purity,
     trace_distance,
 )
 from .model import (
-    NuclearSpecies,
     PhysicalParams,
     SimConfig,
-    SpeciesParams,
     analytic_fidelity,
     apply_multipair_mixing,
     coherence_loss,
-    emission_phase_average,
     k_from_g2,
     monte_carlo_rho,
     monte_carlo_rhos,
     overhauser_samples,
-    sigma_from_composition,
     sigma_from_t2star,
-    time_averaged_rho,
 )
 from .tomography import (
     BasisSetting,
@@ -40,7 +33,6 @@ from .tomography import (
     InsufficientSettingsError,
     ReconstructionResult,
     ZeroCountsError,
-    correlation_visibilities,
     fidelity_from_visibilities,
     load_count_records_csv,
     mle_reconstruct,
@@ -59,20 +51,14 @@ __all__ = [
     "EntanglementMetrics",
     "InsufficientSettingsError",
     "InvalidDensityMatrixError",
-    "NotNormalizedError",
-    "NuclearSpecies",
     "PhysicalParams",
     "ReconstructionResult",
     "SimConfig",
-    "SpeciesParams",
     "ZeroCountsError",
     "analytic_fidelity",
     "apply_multipair_mixing",
     "coherence_loss",
     "concurrence",
-    "concurrence_pure",
-    "correlation_visibilities",
-    "emission_phase_average",
     "fidelity_from_visibilities",
     "fidelity_phi_plus",
     "k_from_g2",
@@ -84,12 +70,10 @@ __all__ = [
     "overhauser_samples",
     "purity",
     "save_count_records_csv",
-    "sigma_from_composition",
     "sigma_from_t2star",
     "simulate_counts",
     "standard_settings",
     "tensor",
-    "time_averaged_rho",
     "trace_distance",
     "visibility",
 ]

@@ -340,11 +340,8 @@ def cmd_compare(args) -> int:
             f"{label}: reported {metric} {value:.3f}, model range [{low:.3f}, {high:.3f}]"
             f" -> {'within' if within else 'outside'}"
         )
-    text = _csv_text(header, rows)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(text, args.out)
+    _write_text(_csv_text(header, rows), args.out)
+    if args.out is not None:
         sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return EXIT_OK
 
@@ -467,10 +464,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except tomography.InsufficientSettingsError as exc:
+    except (ConfigError, tomography.InsufficientSettingsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -9,9 +9,7 @@ import numpy as np
 HBAR_UEV_PS = 658.2119569
 
 IDENTITY_4 = np.eye(4, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -32,15 +30,15 @@ def tensor(a, b) -> np.ndarray:
 
 
 def assert_density_matrix(rho) -> np.ndarray:
-    """Validate and return a density matrix as a complex array.
+    """Validate and return a two-photon density matrix as a complex array.
 
-    Checks finiteness, Hermiticity (HERMITICITY_TOL on max |rho - rho^dag|),
-    unit trace (TRACE_TOL) and positivity (PSD_TOL); raises
-    InvalidDensityMatrixError on the first violation.
+    Checks the 4x4 shape, finiteness, Hermiticity (HERMITICITY_TOL on
+    max |rho - rho^dag|), unit trace (TRACE_TOL) and positivity (PSD_TOL);
+    raises InvalidDensityMatrixError on the first violation.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidDensityMatrixError("density matrix must be square")
+    if rho.shape != (4, 4):
+        raise InvalidDensityMatrixError(f"density matrix must be 4x4, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidDensityMatrixError("density matrix has non-finite entries")
     dev = float(np.abs(rho - rho.conj().T).max())

@@ -13,10 +13,6 @@ PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 _SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
 
 
-class NotNormalizedError(ValueError):
-    """State vector norm differs from 1 beyond tolerance."""
-
-
 @dataclass(frozen=True)
 class EntanglementMetrics:
     fidelity: float
@@ -65,17 +61,6 @@ def _concurrence(rho: np.ndarray) -> float:
     tau = scale[:, None] * symmetric * scale[None, :]
     lam = np.linalg.svd(tau, compute_uv=False)
     return max(0.0, float(2.0 * lam[0] - lam.sum()))
-
-
-def concurrence_pure(psi) -> float:
-    """Concurrence 2|ad - bc| of a pure state (a, b, c, d) in HH, HV, VH, VV order."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (4,):
-        raise ValueError("expected a length-4 state vector")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
-        raise NotNormalizedError(f"state norm is {norm!r}")
-    return float(2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]))
 
 
 def trace_distance(rho_a, rho_b) -> float:

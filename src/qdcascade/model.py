@@ -33,23 +33,6 @@ QUADRATURE_MODES = ("monte_carlo", "gauss_hermite")
 SIGMA_MATCH_TOL = 1e-6
 
 
-def _check_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-
-def _check_t1_window(t1: float, window: float | None) -> None:
-    _check_positive("t1", t1)
-    if window is not None:
-        _check_positive("window", window)
-
-
 def _is_integer(value) -> bool:
     """True for a Python or numpy integer; a bool is not one."""
     return not isinstance(value, bool) and isinstance(value, (int, np.integer))
@@ -120,61 +103,17 @@ def analytic_fidelity(s: float, sigma: float, t1: float, k: float) -> float:
     it sits below the quadrature average for broad spin noise. The CLI
     reports both values side by side.
     """
-    _check_finite(s=s, sigma=sigma)
+    for name, value in (("s", s), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if s < 0 or sigma < 0:
         raise ValueError("s and sigma must be >= 0")
-    _check_positive("t1", t1)
+    if not 0 < t1 < math.inf:
+        raise ValueError(f"t1 must be finite and > 0, got {t1!r}")
     if not 0.0 < k <= 1.0:
         raise ValueError("k must lie in (0, 1]")
     lorentz = 1.0 / (1.0 + 4.0 * t1 * t1 * (s * s + sigma * sigma) / HBAR_UEV_PS**2)
     return 0.25 * (1.0 + k + 2.0 * k * lorentz)
-
-
-@dataclass(frozen=True)
-class NuclearSpecies:
-    """One nuclear species in contact with the electron wavefunction.
-
-    fraction: abundance x_n, dimensionless, in [0, 1].
-    hyperfine: coupling constant A_n, ueV.
-    spin: nuclear spin I_n, half-integer > 0.
-    """
-
-    fraction: float
-    hyperfine: float
-    spin: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("fraction must lie in [0, 1]")
-        if not self.hyperfine > 0:
-            raise ValueError("hyperfine must be > 0")
-        if not self.spin > 0 or round(2 * self.spin) != 2 * self.spin:
-            raise ValueError("spin must be a positive half-integer")
-
-
-@dataclass(frozen=True)
-class SpeciesParams:
-    """Nuclear composition: species list plus the number of nuclei N."""
-
-    species: tuple[NuclearSpecies, ...]
-    n_nuclei: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "species", tuple(self.species))
-        if not self.species:
-            raise ValueError("at least one species is required")
-        if not self.n_nuclei > 0:
-            raise ValueError("n_nuclei must be > 0")
-        total = sum(sp.fraction for sp in self.species)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"species fractions sum to {total!r}, expected 1")
-
-
-def sigma_from_composition(species: SpeciesParams) -> float:
-    """Spin-bath sigma = sqrt(sum x_n A_n^2 I_n(I_n+1) / N) from the nuclear
-    composition, in ueV."""
-    acc = sum(sp.fraction * sp.hyperfine**2 * sp.spin * (sp.spin + 1.0) for sp in species.species)
-    return float(np.sqrt(acc / species.n_nuclei))
 
 
 @dataclass(frozen=True)
@@ -334,25 +273,6 @@ def _phase_average(delta: np.ndarray, t1: float, window: float | None, re_g: np.
     np.divide(im_g, b, out=im_g)
 
 
-def emission_phase_average(delta, t1: float, window: float | None = None):
-    """Average of exp(-i delta t / hbar) over the exciton emission delay.
-
-    The delay density is exp(-t/T1)/T1, truncated and renormalized to
-    [0, window] when a coincidence window is given. Accepts a scalar or an
-    array of splittings delta (ueV) and returns matching complex values,
-    computed by the real arithmetic the moment kernel uses (see
-    :func:`_phase_average`). t1 must be finite and > 0, and the window None
-    or finite and > 0.
-    """
-    _check_t1_window(t1, window)
-    scalar = np.ndim(delta) == 0
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    rows = np.empty((5, delta.size))
-    _phase_average(delta.ravel(), t1, window, rows[0], rows[1], rows[2:])
-    g = (rows[0] + 1j * rows[1]).reshape(delta.shape)
-    return complex(g[0]) if scalar else g
-
-
 # The averaged state is linear in ten moments of the shift distribution.
 # With E = sqrt(s^2/4 + h^2), x = s/(2E) and y = h/E (x = 1, y = 0 at the
 # degenerate point s = h = 0), the gauge-invariant pair vectors through the
@@ -466,21 +386,6 @@ def _rho_from_moments(real: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def time_averaged_rho(s: float, h_z: float, t1: float, window: float | None = None) -> np.ndarray:
-    """Two-photon density matrix at fixed shift, averaged over emission times.
-
-    The average runs over the exponential delay density exp(-t/T1)/T1, up to
-    the coincidence window when one is given. This is the one-shift case of
-    the moment engine: 0.5 (u u^dag + v v^dag + g u v^dag + h.c.), with g
-    the closed-form phase average of :func:`emission_phase_average`.
-    """
-    _check_finite(s=s, h_z=h_z)
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    _check_t1_window(t1, window)
-    return _rho_from_moments(*_moments(s, np.array([float(h_z)]), t1, window, 1.0))
-
-
 def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.ndarray:
     """Deterministic Gaussian Overhauser shifts h_z ~ N(0, sigma), in ueV.
 
@@ -532,13 +437,13 @@ def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
     """Spin-noise averaged two-photon density matrix.
 
-    Averages :func:`time_averaged_rho` over Overhauser shifts drawn from
-    N(0, sigma). The state is a constant linear map of ten moments of the
-    shifts (see :func:`_moments`), so only those moments are averaged.
-    Monte Carlo mode adds them up over fixed chunks of
-    :data:`CHUNK_SAMPLES` draws of the counter-based sampler: memory does
-    not grow with n_samples, and the output is bitwise deterministic for a
-    given (seed, n_samples). gauss_hermite mode integrates the same
+    Averages the emission-time averaged state at one Overhauser shift over
+    shifts drawn from N(0, sigma). The state is a constant linear map of
+    ten moments of the shifts (see :func:`_moments`), so only those
+    moments are averaged. Monte Carlo mode adds them up over fixed chunks
+    of :data:`CHUNK_SAMPLES` draws of the counter-based sampler: memory
+    does not grow with n_samples, and the output is bitwise deterministic
+    for a given (seed, n_samples). gauss_hermite mode integrates the same
     Gaussian with deterministic quadrature nodes, as one chunk. The
     multi-pair mixing channel is not applied here, see
     :func:`apply_multipair_mixing`.
@@ -560,30 +465,31 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
 def monte_carlo_rhos(points) -> list[np.ndarray]:
     """:func:`monte_carlo_rho` for each (PhysicalParams, SimConfig) pair.
 
-    sigma = 0 points are the fixed-shift state and gauss_hermite points use
-    the cached nodes. The Monte Carlo points must share seed and n_samples,
-    so they share one sampler stream: each chunk of standard normals
-    z = ndtri(u) is drawn once, and each point in turn adds the moments of
-    its shifts sigma * z, which are bitwise the draws of its own stream.
-    Only one chunk of normals is held at a time, and every point's moments
-    are computed in one float64 workspace made per call: _WORK_ROWS + 1 =
-    13 rows of up to CHUNK_SAMPLES columns, 13 x 65,536 x 8 B = 6.5 MiB,
-    the last row holding the scaled shifts.
+    Points that draw nothing take one kernel call each: a sigma = 0 point
+    is the one-node rule h = 0 with weight 1, and a gauss_hermite point
+    uses the cached nodes. The Monte Carlo points must share seed and
+    n_samples, so they share one sampler stream: each chunk of standard
+    normals z = ndtri(u) is drawn once, and each point in turn adds the
+    moments of its shifts sigma * z, which are bitwise the draws of its own
+    stream. Only one chunk of normals is held at a time, and every point's
+    moments are computed in one float64 workspace made per call:
+    _WORK_ROWS + 1 = 13 rows of up to CHUNK_SAMPLES columns,
+    13 x 65,536 x 8 B = 6.5 MiB, the last row holding the scaled shifts.
     """
     points = list(points)
     rhos = [None] * len(points)
     sampled = []
     for i, (params, config) in enumerate(points):
         if params.sigma == 0.0:
-            rhos[i] = time_averaged_rho(params.s, 0.0, params.t1, config.window)
+            shifts, weights = np.zeros(1), 1.0
         elif config.quadrature == "gauss_hermite":
             nodes, gh_weights = _hermgauss(config.gh_order)
             shifts = np.sqrt(2.0) * params.sigma * nodes
             weights = gh_weights / np.sqrt(np.pi)
-            rhos[i] = _rho_from_moments(*_moments(params.s, shifts, params.t1, config.window,
-                                                  weights))
         else:
             sampled.append(i)
+            continue
+        rhos[i] = _rho_from_moments(*_moments(params.s, shifts, params.t1, config.window, weights))
     if not sampled:
         return rhos
     streams = {(points[i][1].seed, points[i][1].n_samples) for i in sampled}

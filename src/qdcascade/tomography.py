@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, assert_density_matrix, tensor
+from .linalg import assert_density_matrix, tensor
 from .model import _POISSON_STREAM, _is_integer, _philox
 
 _SQRT2 = np.sqrt(2.0)
@@ -113,12 +113,6 @@ def _probabilities(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ia,ab,ib->i", kets.conj(), rho, kets))
 
 
-def expected_probability(rho, setting: BasisSetting) -> float:
-    """Born-rule probability of a coincidence in the given setting."""
-    ket = setting.product_ket()
-    return float(_probabilities(np.asarray(rho, dtype=complex), ket[None, :])[0])
-
-
 def simulate_counts(rho, settings, n_per_setting: int, seed: int = 0,
                     poisson: bool = False) -> list[CountRecord]:
     """Coincidence counts for each setting.
@@ -156,27 +150,13 @@ def fidelity_from_visibilities(c_hv: float, c_da: float, c_rl: float) -> float:
     """Bell-state fidelity estimator f = (1 + c_hv + c_da - c_rl)/4.
 
     Exact when the inputs are the full polarization correlations of the
-    state (see :func:`correlation_visibilities`); clamped to [0, 1].
+    state, the expectation values of sz(x)sz, sx(x)sx and sy(x)sy that the
+    co/cross count ratios estimate; clamped to [0, 1].
     """
     for name, value in (("c_hv", c_hv), ("c_da", c_da), ("c_rl", c_rl)):
         if not -1.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [-1, 1]")
     return min(max(0.25 * (1.0 + c_hv + c_da - c_rl), 0.0), 1.0)
-
-
-def correlation_visibilities(rho) -> tuple[float, float, float]:
-    """Exact polarization correlations (c_hv, c_da, c_rl) of a state.
-
-    These are the expectation values of sz(x)sz, sx(x)sx and sy(x)sy, the
-    quantities the co/cross count ratios estimate. Feeding them to
-    :func:`fidelity_from_visibilities` reproduces the Bell-state fidelity
-    identically for any density matrix.
-    """
-    rho = assert_density_matrix(rho)
-    c_hv = float(np.real(np.trace(tensor(SIGMA_Z, SIGMA_Z) @ rho)))
-    c_da = float(np.real(np.trace(tensor(SIGMA_X, SIGMA_X) @ rho)))
-    c_rl = float(np.real(np.trace(tensor(SIGMA_Y, SIGMA_Y) @ rho)))
-    return c_hv, c_da, c_rl
 
 
 # Lower-triangular parametrization rho = T^dag T / Tr(T^dag T): theta holds
@@ -237,18 +217,18 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     the same at every count level.
 
     ``iterations`` counts accepted L-BFGS-B steps and is capped at exactly
-    ``max_iterations``; ``converged`` is False when that cap, or any other
-    abnormal stop, ends the run. ``message`` is the optimizer's termination
-    message and ``gradient_norm`` the norm of the final count-scaled
-    gradient. ``history`` holds the log-likelihood at the start and after
+    ``max_iterations``, an integer >= 1 (not a bool); ``converged`` is
+    False when that cap, or any other abnormal stop, ends the run.
+    ``message`` is the optimizer's termination message and
+    ``gradient_norm`` the norm of the final count-scaled gradient. ``history`` holds the log-likelihood at the start and after
     every step; it is non-decreasing because a step is only accepted when
     it lowers the objective.
 
     Requires at least 16 linearly independent projectors; six-basis input
     is rejected.
     """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    if not _is_integer(max_iterations) or max_iterations < 1:
+        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     records = list(records)
     if len(records) < 16:
         raise InsufficientSettingsError(
@@ -312,16 +292,22 @@ def save_count_records_csv(records, path) -> None:
 
 
 def load_count_records_csv(path) -> list[CountRecord]:
-    """Read count records written by :func:`save_count_records_csv`."""
+    """Read count records written by :func:`save_count_records_csv`.
+
+    Every row after the header must have exactly the three fields; blank
+    lines are skipped.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["label", "counts", "weight"]:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["label", "counts", "weight"]:
             raise ValueError("expected CSV header label,counts,weight")
-        return [
-            CountRecord(
-                BasisSetting(row["label"]),
-                int(row["counts"]),
-                float(row["weight"]),
-            )
-            for row in reader
-        ]
+        records = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"line {reader.line_num}: expected 3 fields "
+                                 f"label,counts,weight, got {len(row)}")
+            label, counts, weight = row
+            records.append(CountRecord(BasisSetting(label), int(counts), float(weight)))
+        return records

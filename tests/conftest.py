@@ -1,15 +1,19 @@
 """Shared test helpers: random states, fixed-step ODE oracles, the
-Hamiltonian/propagator reference model of the cascade and the per-sample
-outer-product oracle of the spin-noise average."""
+Hamiltonian/propagator reference model of the cascade, the per-sample
+outer-product oracle of the spin-noise average, reference entanglement
+figures, and thin wrappers that call the package's private moment kernel."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from qdcascade.linalg import HBAR_UEV_PS, SIGMA_X, SIGMA_Y, SIGMA_Z, assert_density_matrix
-from qdcascade.model import emission_phase_average
+from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix, tensor
+from qdcascade.model import _moments, _phase_average, _rho_from_moments
 
 IDENTITY_2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -165,9 +169,58 @@ def outer_product_rho(s: float, shifts, t1: float, window, weights) -> np.ndarra
     shifts = np.asarray(shifts, dtype=float)
     weights = np.asarray(weights, dtype=float)
     u, v = branch_pair_vectors(s, shifts)
-    g = emission_phase_average(2.0 * np.sqrt((0.5 * s) ** 2 + shifts * shifts), t1, window)
+    g = closed_form_phase_average(2.0 * np.sqrt((0.5 * s) ** 2 + shifts * shifts), t1, window)
     uu = (u * weights[:, None]).T @ u.conj()
     vv = (v * weights[:, None]).T @ v.conj()
     cross = (u * (weights * g)[:, None]).T @ v.conj()
     rho = 0.5 * (uu + vv + cross + cross.conj().T)
     return 0.5 * (rho + rho.conj().T)
+
+
+def closed_form_phase_average(delta, t1: float, window=None) -> np.ndarray:
+    """Average of exp(-i delta t / hbar) over the delay density
+    exp(-t/T1)/T1, truncated to [0, window] and renormalized when a window
+    is given, in complex128 arithmetic: 1/(1 + i w) with w = delta T1/hbar,
+    or (expm1(-x)/x) / (expm1(-a)/a) with a = W/T1 and x = a + i delta W/hbar.
+
+    Shares no arithmetic with the package's real-valued phase average.
+    """
+    delta = np.asarray(delta, dtype=float)
+    if window is None:
+        return 1.0 / (1.0 + 1j * (delta * t1 / HBAR_UEV_PS))
+    a = window / t1
+    x = a + 1j * (delta * (window / HBAR_UEV_PS))
+    return (np.expm1(-x) / x) / (np.expm1(-a) / a)
+
+
+def phase_average(delta, t1: float, window=None) -> np.ndarray:
+    """The package's emission phase average at an array of splittings delta,
+    as complex values: the rows that the moment kernel's _phase_average
+    writes."""
+    delta = np.asarray(delta, dtype=float)
+    rows = np.empty((5, delta.size))
+    _phase_average(delta.ravel(), t1, window, rows[0], rows[1], rows[2:])
+    return (rows[0] + 1j * rows[1]).reshape(delta.shape)
+
+
+def fixed_shift_rho(s: float, h_z: float, t1: float, window=None) -> np.ndarray:
+    """The package's state at one Overhauser shift, averaged over emission
+    times: the one-shift, unit-weight call of the moment kernel."""
+    return _rho_from_moments(*_moments(s, np.array([float(h_z)]), t1, window, 1.0))
+
+
+def concurrence_pure(psi) -> float:
+    """Concurrence 2|ad - bc| of a normalized pure state (a, b, c, d) in
+    HH, HV, VH, VV order."""
+    psi = np.asarray(psi, dtype=complex)
+    assert psi.shape == (4,) and abs(np.linalg.norm(psi) - 1.0) <= 1e-10
+    return float(2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]))
+
+
+def correlation_visibilities(rho) -> tuple[float, float, float]:
+    """Exact polarization correlations (c_hv, c_da, c_rl) of a state: the
+    expectation values of sz(x)sz, sx(x)sx and sy(x)sy, which the co/cross
+    count ratios estimate."""
+    rho = assert_density_matrix(rho)
+    return tuple(float(np.real(np.trace(tensor(pauli, pauli) @ rho)))
+                 for pauli in (SIGMA_Z, SIGMA_X, SIGMA_Y))

@@ -12,6 +12,8 @@ import numpy as np
 from conftest import (
     IDENTITY_2,
     build_hamiltonian,
+    concurrence_pure,
+    correlation_visibilities,
     propagate_rho,
     random_density_matrix,
     random_pure_state,
@@ -20,7 +22,6 @@ from conftest import (
 from qdcascade.linalg import HBAR_UEV_PS, tensor
 from qdcascade.metrics import (
     concurrence,
-    concurrence_pure,
     fidelity_phi_plus,
     metrics_from_rho,
     trace_distance,
@@ -36,7 +37,6 @@ from qdcascade.model import (
     sigma_from_t2star,
 )
 from qdcascade.tomography import (
-    correlation_visibilities,
     fidelity_from_visibilities,
     mle_reconstruct,
     simulate_counts,

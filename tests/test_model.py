@@ -13,8 +13,12 @@ from scipy.integrate import simpson
 from conftest import (
     IDENTITY_2,
     build_hamiltonian,
+    closed_form_phase_average,
+    concurrence_pure,
     exciton_eigensystem,
+    fixed_shift_rho,
     outer_product_rho,
+    phase_average,
     propagate_rho,
     random_density_matrix,
     rk4_density_batch,
@@ -23,21 +27,16 @@ from conftest import (
 from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix, tensor
 from qdcascade.metrics import PHI_PLUS, fidelity_phi_plus
 from qdcascade.model import (
-    NuclearSpecies,
     PhysicalParams,
     SimConfig,
-    SpeciesParams,
     analytic_fidelity,
     apply_multipair_mixing,
     coherence_loss,
-    emission_phase_average,
     k_from_g2,
     monte_carlo_rho,
     monte_carlo_rhos,
     overhauser_samples,
-    sigma_from_composition,
     sigma_from_t2star,
-    time_averaged_rho,
 )
 from qdcascade.model import (
     _WORK_ROWS,
@@ -111,7 +110,7 @@ class TestTwoPhotonState:
 
     def test_instantaneous_state_is_maximally_entangled(self):
         # phase evolution alone never degrades the single-event entanglement
-        from qdcascade.metrics import concurrence, concurrence_pure
+        from qdcascade.metrics import concurrence
 
         for s, h_z in ((1.3, 0.0), (0.4, 0.41), (0.0, 2.0), (2.5, -1.7)):
             j, l, delta = exciton_eigensystem(build_hamiltonian(s, h_z))
@@ -180,13 +179,13 @@ class TestPropagateRho:
 class TestTimeAveragedRho:
     def test_bell_state_when_degenerate(self):
         for window in (None, 1.0, 350.0):
-            rho = time_averaged_rho(0.0, 0.0, 430.0, window)
+            rho = fixed_shift_rho(0.0, 0.0, 430.0, window)
             assert np.abs(rho - PHI_PLUS_RHO).max() < 1e-15
 
     def test_infinite_window_coherence(self):
         # cross coherence <exp(-i delta t/hbar)> = 1/(1 + i delta T1/hbar)
         s, t1 = 1.1, 380.0
-        rho = time_averaged_rho(s, 0.0, t1)
+        rho = fixed_shift_rho(s, 0.0, t1)
         expected = 1.0 / (1.0 + 1j * s * t1 / HBAR_UEV_PS)
         assert abs(2.0 * rho[0, 3] - expected) < 1e-12
         f_expected = 0.5 * (1.0 + 1.0 / (1.0 + (s * t1 / HBAR_UEV_PS) ** 2))
@@ -205,22 +204,21 @@ class TestTimeAveragedRho:
         stack = np.array([propagate_rho(rho0, h, t) for t in times])
         oracle = simpson(weights[:, None, None] * stack, x=times, axis=0)
         oracle /= simpson(weights, x=times)
-        assert np.abs(time_averaged_rho(s, h_z, t1, window) - oracle).max() < 1e-7
+        assert np.abs(fixed_shift_rho(s, h_z, t1, window) - oracle).max() < 1e-7
 
     def test_short_window_limit(self):
-        rho = time_averaged_rho(1.3, 0.0, 430.0, window=1e-3)
+        rho = fixed_shift_rho(1.3, 0.0, 430.0, window=1e-3)
         assert np.abs(rho - PHI_PLUS_RHO).max() < 1e-6
 
     def test_phase_average_forms(self):
         delta, t1 = 1.2, 430.0
-        value = emission_phase_average(delta, t1)
+        value = phase_average(delta, t1)
         assert abs(value - 1.0 / (1.0 + 1j * delta * t1 / HBAR_UEV_PS)) < 1e-15
-        assert isinstance(value, complex)
         # tiny window: no phase accrues yet
-        assert abs(emission_phase_average(delta, t1, window=1e-6) - 1.0) < 1e-9
+        assert abs(phase_average(delta, t1, window=1e-6) - 1.0) < 1e-9
         # huge window recovers the unwindowed average
-        assert abs(emission_phase_average(delta, t1, window=1e9) - value) < 1e-14
-        array_values = emission_phase_average(np.array([0.0, delta]), t1)
+        assert abs(phase_average(delta, t1, window=1e9) - value) < 1e-14
+        array_values = phase_average(np.array([0.0, delta]), t1)
         assert array_values.shape == (2,)
         assert array_values[0] == 1.0
         assert abs(array_values[1] - value) < 1e-15
@@ -235,7 +233,7 @@ class TestTimeAveragedRho:
         t1 = 430.0
         window = 1.03e-4 * t1
         deltas = np.array([0.0, 0.4, 0.9124, 3.0, 20.0])
-        values = emission_phase_average(deltas, t1, window)
+        values = phase_average(deltas, t1, window)
         for delta, value in zip(deltas, values):
             rate = 1.0 / t1 + 1j * delta / HBAR_UEV_PS
             expected = ratio(rate * window) / ratio(window / t1)
@@ -252,21 +250,16 @@ class TestTimeAveragedRho:
         # Independent of the package's real arithmetic: complex128 closed forms.
         deltas = np.array(deltas)
         window = None if window_over_t1 is None else window_over_t1 * t1
-        values = emission_phase_average(deltas, t1, window)
-        if window is None:
-            expected = 1.0 / (1.0 + 1j * (deltas * t1 / HBAR_UEV_PS))
-        else:
-            a = window / t1
-            x = a + 1j * (deltas * (window / HBAR_UEV_PS))
-            expected = (np.expm1(-x) / x) / (np.expm1(-a) / a)
+        values = phase_average(deltas, t1, window)
+        expected = closed_form_phase_average(deltas, t1, window)
         assert np.abs(values - expected).max() <= 2e-15
-        assert np.array_equal(emission_phase_average(-deltas, t1, window), values.conj())
+        assert np.array_equal(phase_average(-deltas, t1, window), values.conj())
         assert np.all(np.abs(values) <= 1.0 + 2 * np.finfo(float).eps)  # |g| <= 1 to rounding
-        assert emission_phase_average(0.0, t1, window) == 1.0
+        assert phase_average(0.0, t1, window) == 1.0
 
     def test_valid_density_matrix(self):
         for window in (None, 120.0):
-            rho = time_averaged_rho(0.9, 0.6, 500.0, window)
+            rho = fixed_shift_rho(0.9, 0.6, 500.0, window)
             assert_density_matrix(rho)
 
 
@@ -313,7 +306,7 @@ class TestMomentAverage:
     def test_single_shift_matches_oracle(self):
         for s, h in ((0.0, 0.0), (0.0, 0.7), (1.1, 0.0), (0.4, -2.5)):
             expected = outer_product_rho(s, [h], 430.0, 350.0, [1.0])
-            assert np.abs(time_averaged_rho(s, h, 430.0, 350.0) - expected).max() <= 1e-13
+            assert np.abs(fixed_shift_rho(s, h, 430.0, 350.0) - expected).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [1, CHUNK_SAMPLES - 1, CHUNK_SAMPLES, CHUNK_SAMPLES + 1,
                                    3 * CHUNK_SAMPLES + 17])
@@ -353,14 +346,14 @@ class TestMomentAverage:
 
 
 def reference_moments(s, shifts, t1, window, weights):
-    """The moment sums with g from emission_phase_average: per-call arrays,
+    """The moment sums with g from the kernel's phase average: per-call arrays,
     one pairwise sum per product row of the basis with Re g and Im g."""
     half = 0.5 * s
     energy = np.sqrt(half * half + shifts * shifts)
     nonzero = energy > 0.0
     x = np.divide(half, energy, out=np.ones_like(energy), where=nonzero)
     y = np.divide(shifts, energy, out=np.zeros_like(energy), where=nonzero)
-    g = emission_phase_average(2.0 * energy, t1, window)
+    g = phase_average(2.0 * energy, t1, window)
     basis = np.empty((5, shifts.size))
     basis[0] = weights
     np.multiply(basis[0], x, out=basis[1])
@@ -436,7 +429,7 @@ class TestMonteCarloRho:
         params = PhysicalParams(s=0.8, t1=430.0, sigma=0.0, k=1.0)
         config = SimConfig(n_samples=1000, seed=5)
         assert np.array_equal(
-            monte_carlo_rho(params, config), time_averaged_rho(0.8, 0.0, 430.0)
+            monte_carlo_rho(params, config), fixed_shift_rho(0.8, 0.0, 430.0)
         )
 
     def test_bitwise_deterministic(self):
@@ -617,22 +610,6 @@ class TestConversions:
         assert abs(sigma_from_t2star(2.6) - 0.2532) < 1e-4
         assert sigma_from_t2star(np.inf) == 0.0
 
-    def test_sigma_from_composition(self):
-        single = SpeciesParams((NuclearSpecies(1.0, 1.0, 0.5),), 1.0)
-        assert abs(sigma_from_composition(single) - np.sqrt(0.75)) < 1e-12
-        # 1/sqrt(N) scaling
-        big = SpeciesParams((NuclearSpecies(1.0, 1.0, 0.5),), 1e12)
-        assert sigma_from_composition(big) < 1e-5
-        doubled = SpeciesParams((NuclearSpecies(1.0, 1.0, 0.5),), 2.0)
-        ratio = sigma_from_composition(doubled) / sigma_from_composition(single)
-        assert abs(ratio - 1 / np.sqrt(2)) < 1e-12
-        # species add in quadrature, each weighted by its abundance
-        mixed = SpeciesParams(
-            (NuclearSpecies(0.5, 50.0, 1.5), NuclearSpecies(0.5, 40.0, 4.5)), 1e5
-        )
-        expected = np.sqrt((0.5 * 50.0**2 * 1.5 * 2.5 + 0.5 * 40.0**2 * 4.5 * 5.5) / 1e5)
-        assert abs(sigma_from_composition(mixed) - expected) < 1e-12
-
     def test_coherence_loss_values(self):
         assert abs(coherence_loss(230.0, 2.6) - 0.0078) < 1e-5
         assert abs(coherence_loss(420.0, 1.7) - 0.0592) < 1e-4
@@ -659,16 +636,6 @@ class TestPublicInputChecks:
         (lambda: analytic_fidelity(0.4, math.inf, 430.0, 1.0), "sigma must be finite"),
         (lambda: analytic_fidelity(0.4, 0.41, math.inf, 1.0), "t1 must be finite and > 0"),
         (lambda: analytic_fidelity(0.4, 0.41, 0.0, 1.0), "t1 must be finite and > 0"),
-        (lambda: time_averaged_rho(math.nan, 0.1, 430.0), "s must be finite"),
-        (lambda: time_averaged_rho(0.4, math.inf, 430.0), "h_z must be finite"),
-        (lambda: time_averaged_rho(0.4, 0.1, math.nan), "t1 must be finite and > 0"),
-        (lambda: time_averaged_rho(0.4, 0.1, 430.0, math.inf), "window must be finite and > 0"),
-        (lambda: time_averaged_rho(0.4, 0.1, 430.0, 0.0), "window must be finite and > 0"),
-        (lambda: emission_phase_average(1.0, -430.0), "t1 must be finite and > 0"),
-        (lambda: emission_phase_average(1.0, math.inf), "t1 must be finite and > 0"),
-        (lambda: emission_phase_average(1.0, 430.0, math.inf), "window must be finite and > 0"),
-        (lambda: emission_phase_average(1.0, 430.0, math.nan), "window must be finite and > 0"),
-        (lambda: emission_phase_average(np.ones(3), 430.0, -1.0), "window must be finite and > 0"),
         (lambda: overhauser_samples(1, 4, math.nan), "sigma must be finite and >= 0"),
         (lambda: overhauser_samples(1, 4, math.inf), "sigma must be finite and >= 0"),
         (lambda: overhauser_samples(1, 4, -0.5), "sigma must be finite and >= 0"),

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from qdcascade.tomography import (
     CountRecord,
     InsufficientSettingsError,
     ZeroCountsError,
-    expected_probability,
+    _probabilities,
     fidelity_from_visibilities,
     load_count_records_csv,
     mle_reconstruct,
@@ -34,10 +35,16 @@ PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 MIXED = np.eye(4, dtype=complex) / 4.0
 
 
+def born_probabilities(rho, settings) -> np.ndarray:
+    """The package's Born-rule probabilities <k|rho|k>, one per setting."""
+    kets = np.array([s.product_ket() for s in settings])
+    return _probabilities(np.asarray(rho, dtype=complex), kets)
+
+
 def state_log_likelihood(rho, records) -> float:
     """Profiled Poisson log-likelihood of a given state, straight from the
     Born probabilities (same constant as the reconstruction's)."""
-    probs = np.array([expected_probability(rho, r.setting) for r in records])
+    probs = born_probabilities(rho, [r.setting for r in records])
     probs = np.clip(probs, 1e-300, None)
     counts = np.array([float(r.counts) for r in records])
     weights = np.array([float(r.acquisition_weight) for r in records])
@@ -120,7 +127,7 @@ class TestSimulateCounts:
         # The draw reads the Philox stream keyed (seed, 1), i.e. the integer
         # key seed + 2**64, not the Overhauser sampler's stream keyed seed.
         settings = standard_settings("sixteen_basis")
-        means = 10_000 * np.array([expected_probability(PHI_PLUS_RHO, s) for s in settings])
+        means = 10_000 * born_probabilities(PHI_PLUS_RHO, settings)
         drawn = [r.counts for r in simulate_counts(PHI_PLUS_RHO, settings, 10_000, seed=5,
                                                    poisson=True)]
         own = np.random.Generator(np.random.Philox(key=5 + 2**64)).poisson(means)
@@ -272,10 +279,21 @@ class TestMLEReconstruct:
         assert not result.converged
         assert result.iterations == 2
 
-    def test_budget_must_be_positive(self):
+    # Unchecked, nan and inf ran without a cap, 2.5 stopped after 3 steps
+    # and True after 1.
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5, True, 0])
+    def test_budget_must_be_an_integer_of_at_least_one(self, budget):
         records = simulate_counts(PHI_PLUS_RHO, standard_settings("sixteen_basis"), 1000)
-        with pytest.raises(ValueError):
-            mle_reconstruct(records, max_iterations=0)
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+            mle_reconstruct(records, max_iterations=budget)
+
+    def test_numpy_integer_budget_caps_the_run(self):
+        rho = 0.9 * PHI_PLUS_RHO + 0.1 * MIXED
+        records = simulate_counts(rho, standard_settings("sixteen_basis"), 10_000)
+        assert mle_reconstruct(records).iterations > 3
+        capped = mle_reconstruct(records, max_iterations=np.int64(3))
+        assert capped.iterations == 3
+        assert not capped.converged
 
     def test_reports_why_it_stopped(self):
         records = simulate_counts(PHI_PLUS_RHO, standard_settings("sixteen_basis"), 10**5)
@@ -295,7 +313,7 @@ class TestMLEReconstruct:
             monte_carlo_rho(params, SimConfig(quadrature="gauss_hermite")), params.k
         )
         settings = standard_settings("sixteen_basis")
-        means = 100_000 * np.array([max(expected_probability(rho, s), 0.0) for s in settings])
+        means = 100_000 * np.maximum(born_probabilities(rho, settings), 0.0)
         # The draws of the stream keyed (seed, 0), on which that ascent failed.
         counts = np.random.Generator(np.random.Philox(key=seed)).poisson(means)
         records = [CountRecord(s, int(c)) for s, c in zip(settings, counts)]
@@ -384,13 +402,30 @@ class TestCountsCSV:
         with pytest.raises(ValueError):
             load_count_records_csv(path)
 
+    # Unchecked, a short row raised TypeError from float(None) and an extra
+    # field was dropped without a word.
+    @pytest.mark.parametrize("row, fields", [("HH,5", 2), ("HH,5,1.0,x", 4)])
+    def test_rejects_row_without_three_fields(self, tmp_path, row, fields):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"label,counts,weight\nHV,3,1.0\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^line 4: expected 3 fields label,counts,weight, "
+                                             f"got {fields}$"):
+            load_count_records_csv(path)
 
-def test_expected_probability_matches_born_rule():
+    def test_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("label,counts,weight\n\nHH,5,1.0\n\nHV,3,2.0\n", encoding="utf-8")
+        assert load_count_records_csv(path) == [CountRecord(BasisSetting("HH"), 5),
+                                                CountRecord(BasisSetting("HV"), 3, 2.0)]
+
+
+def test_born_probabilities_match_direct_products():
     rng = np.random.default_rng(67)
     rho = random_density_matrix(rng)
-    for setting in standard_settings("sixteen_basis"):
+    settings = standard_settings("sixteen_basis")
+    for setting, probability in zip(settings, born_probabilities(rho, settings)):
         ket = setting.product_ket()
-        assert abs(expected_probability(rho, setting) - np.real(ket.conj() @ rho @ ket)) < 1e-14
+        assert abs(probability - np.real(ket.conj() @ rho @ ket)) < 1e-14
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
