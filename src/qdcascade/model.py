@@ -38,6 +38,13 @@ def _is_integer(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
+def _reject_bools(**values) -> None:
+    """The float-input rule: a bool (Python or numpy) is not a number."""
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _check_seed(seed) -> None:
     """The one seed rule: an integer (not a bool) in [0, 2**64)."""
     if not _is_integer(seed) or not 0 <= seed < 2**64:
@@ -63,6 +70,7 @@ def _philox(seed, stream: int) -> np.random.Philox:
 
 def sigma_from_t2star(t2_star_ns: float) -> float:
     """Overhauser standard deviation sigma = hbar / T2*, in ueV for T2* in ns."""
+    _reject_bools(t2_star=t2_star_ns)
     if not t2_star_ns > 0:
         raise ValueError("t2_star must be > 0")
     return HBAR_UEV_PS / (t2_star_ns * PS_PER_NS)
@@ -75,6 +83,7 @@ def k_from_g2(g2_xx: float, g2_x: float, eta_p: float) -> float:
     The closed interval [0, 1] is accepted for the autocorrelations so the
     degenerate bound k = 0 stays representable.
     """
+    _reject_bools(g2_xx=g2_xx, g2_x=g2_x, eta_p=eta_p)
     for name, value in (("g2_xx", g2_xx), ("g2_x", g2_x)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
@@ -85,6 +94,7 @@ def k_from_g2(g2_xx: float, g2_x: float, eta_p: float) -> float:
 
 def coherence_loss(t1_ps: float, t2_star_ns: float) -> float:
     """Time-averaged exciton coherence loss 1 - exp(-(T1/T2*)^2)."""
+    _reject_bools(t1=t1_ps, t2_star=t2_star_ns)
     if not t1_ps > 0:
         raise ValueError("t1 must be > 0")
     if not t2_star_ns > 0:
@@ -103,6 +113,7 @@ def analytic_fidelity(s: float, sigma: float, t1: float, k: float) -> float:
     it sits below the quadrature average for broad spin noise. The CLI
     reports both values side by side.
     """
+    _reject_bools(s=s, sigma=sigma, t1=t1, k=k)
     for name, value in (("s", s), ("sigma", sigma)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -131,6 +142,8 @@ class PhysicalParams:
     t1_xx: biexciton lifetime, ps. Metadata only, unused by the model.
     tau_s: nuclear spin correlation time, us. Metadata; a warning is issued
         when it undercuts the frozen-spin assumption tau_s >> T1.
+
+    No field takes a bool.
     """
 
     s: float
@@ -145,6 +158,7 @@ class PhysicalParams:
     tau_s: float | None = None
 
     def __post_init__(self) -> None:
+        _reject_bools(**vars(self))
         for name in ("s", "t1", "sigma"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -198,7 +212,8 @@ class SimConfig:
     quadrature: "monte_carlo" or "gauss_hermite".
     gh_order: Gauss-Hermite order, used only in gauss_hermite mode.
 
-    n_samples, seed and gh_order must be integers (bool is not one).
+    n_samples, seed and gh_order must be integers, and window a number;
+    a bool is neither.
     """
 
     n_samples: int = 200_000
@@ -213,6 +228,7 @@ class SimConfig:
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         _check_seed(self.seed)
+        _reject_bools(window=self.window)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.window is not None and not 0 < self.window < math.inf:
@@ -241,6 +257,12 @@ def _phase_average(delta: np.ndarray, t1: float, window: float | None, re_g: np.
       ni = -damp sin b and damp = exp(-a) a/expm1(-a) < 0. The terms of nr
       share a sign, so there is no cancellation at small a or b. Then
       g = (nr + i ni)(a - i b)/(a^2 + b^2).
+
+    Both sines come from one half-angle tangent t = tan(b/2):
+    sin^2(b/2) = t^2/(1 + t^2) and sin b = 2t/(1 + t^2), so the windowed
+    branch makes one transcendental ufunc call. Near a pole of tan the two
+    forms tend to 1 and 0; a double lies at least ~4.7e-19 from any pole,
+    so |t| stays below ~1e19 and t^2 finite.
     """
     if window is None:
         minus_w = im_g
@@ -254,13 +276,16 @@ def _phase_average(delta: np.ndarray, t1: float, window: float | None, re_g: np.
     damp = math.exp(-a) * (a / math.expm1(-a))
     b, nr, ni = scratch[0], scratch[1], scratch[2]
     np.multiply(delta, window / HBAR_UEV_PS, out=b)
-    np.multiply(0.5, b, out=nr)
-    np.sin(nr, out=nr)
-    np.multiply(nr, nr, out=nr)
+    tan_half = nr
+    np.multiply(0.5, b, out=tan_half)
+    np.tan(tan_half, out=tan_half)
+    np.multiply(tan_half, tan_half, out=ni)
+    np.add(ni, 1.0, out=ni)
+    np.divide(tan_half, ni, out=ni)  # t/(1 + t^2) = sin(b)/2
+    np.multiply(tan_half, ni, out=nr)  # t^2/(1 + t^2) = sin^2(b/2)
     np.multiply(2.0 * damp, nr, out=nr)
     np.subtract(a, nr, out=nr)
-    np.sin(b, out=ni)
-    np.multiply(ni, -damp, out=ni)
+    np.multiply(ni, -2.0 * damp, out=ni)
     np.multiply(nr, a, out=re_g)
     np.multiply(ni, b, out=im_g)
     np.add(re_g, im_g, out=re_g)
@@ -390,11 +415,13 @@ def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.nd
     """Deterministic Gaussian Overhauser shifts h_z ~ N(0, sigma), in ueV.
 
     Sample i is a pure function of (seed, start + i): it is derived from
-    Philox counter block start + i of the Overhauser stream in the stream
-    table (see :func:`_philox`), so any contiguous chunk reproduces the
-    matching slice of the full stream regardless of how the work is
-    partitioned. n and start are integers, n >= 1 and start >= 0, and
-    sigma is finite and >= 0.
+    64-bit word start + i of the Overhauser stream in the stream table
+    (see :func:`_philox`), so any contiguous chunk reproduces the matching
+    slice of the full stream regardless of how the work is partitioned.
+    Philox makes its words in 4-word counter blocks, so the call advances
+    start // 4 blocks, draws n + start % 4 words and skips the first
+    start % 4. n and start are integers, n >= 1 and start >= 0, and sigma
+    is finite and >= 0.
 
     Grid averages draw the standard normals once per chunk, with
     sigma = 1, and scale them by each point's sigma (see
@@ -409,14 +436,16 @@ def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.nd
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    _reject_bools(sigma=sigma)
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if start < 0:
         raise ValueError("start must be >= 0")
     bitgen = _philox(seed, _OVERHAUSER_STREAM)
-    if start:
-        bitgen.advance(start)  # Philox advances whole 4-word counter blocks
-    raw = bitgen.random_raw(4 * n)[::4]
+    blocks, skip = divmod(start, 4)
+    if blocks:
+        bitgen.advance(blocks)
+    raw = bitgen.random_raw(n + skip)[skip:]
     # Map the top 52 bits to the open interval (0, 1); ndtri stays finite.
     uniforms = ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
     return sigma * ndtri(uniforms)

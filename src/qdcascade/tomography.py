@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import assert_density_matrix, tensor
-from .model import _POISSON_STREAM, _is_integer, _philox
+from .model import _POISSON_STREAM, _is_integer, _philox, _reject_bools
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -75,6 +75,7 @@ class CountRecord:
     def __post_init__(self) -> None:
         if not _is_integer(self.counts) or self.counts < 0:
             raise ValueError(f"counts must be an integer >= 0, got {self.counts!r}")
+        _reject_bools(acquisition_weight=self.acquisition_weight)
         if not 0 < self.acquisition_weight < np.inf:
             raise ValueError(
                 f"acquisition_weight must be finite and > 0, got {self.acquisition_weight!r}"
@@ -126,6 +127,7 @@ def simulate_counts(rho, settings, n_per_setting: int, seed: int = 0,
     """
     rho = assert_density_matrix(rho)
     settings = list(settings)
+    _reject_bools(n_per_setting=n_per_setting)
     if not 0 < n_per_setting < math.inf:
         raise ValueError(f"n_per_setting must be finite and > 0, got {n_per_setting!r}")
     kets = np.array([s.product_ket() for s in settings]).reshape(-1, 4)

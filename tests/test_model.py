@@ -43,9 +43,10 @@ from qdcascade.model import (
     CHUNK_SAMPLES,
     _hermgauss,
     _moments,
+    _philox,
     _rho_from_moments,
 )
-from qdcascade.tomography import simulate_counts, standard_settings
+from qdcascade.tomography import CountRecord, simulate_counts, standard_settings
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -257,6 +258,23 @@ class TestTimeAveragedRho:
         assert np.all(np.abs(values) <= 1.0 + 2 * np.finfo(float).eps)  # |g| <= 1 to rounding
         assert phase_average(0.0, t1, window) == 1.0
 
+    @pytest.mark.parametrize("t1, window", [(50.0, 1.0), (430.0, 350.0), (2000.0, 3000.0),
+                                            (430.0, 1e5)])
+    def test_phase_average_at_tan_poles_and_small_angles(self, t1, window):
+        # The windowed average takes sin b and sin^2(b/2) from t = tan(b/2):
+        # near b = (2k+1) pi, |t| is as large as a float b allows, and for
+        # b <= 1e-8, t^2 is below the rounding of 1 + t^2.
+        poles = (2 * np.arange(51) + 1) * np.pi * HBAR_UEV_PS / window
+        small = np.geomspace(1e-300, 1e-8, 60) * HBAR_UEV_PS / window
+        deltas = np.concatenate([poles, np.nextafter(poles, np.inf),
+                                 np.nextafter(poles, -np.inf), small, [0.0]])
+        deltas = np.concatenate([deltas, -deltas])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = phase_average(deltas, t1, window)
+        assert np.abs(values - closed_form_phase_average(deltas, t1, window)).max() <= 2e-15
+        assert np.all(np.abs(values) <= 1.0 + 2 * np.finfo(float).eps)
+
     def test_valid_density_matrix(self):
         for window in (None, 120.0):
             rho = fixed_shift_rho(0.9, 0.6, 500.0, window)
@@ -269,6 +287,22 @@ class TestOverhauserSamples:
         assert np.array_equal(full[10:30], overhauser_samples(987654321, 20, 0.5, start=10))
         assert np.array_equal(full[:5], overhauser_samples(987654321, 5, 0.5))
 
+    # Every start % 4, the edge of a 4-word Philox block and of a chunk.
+    @pytest.mark.parametrize("start", [*range(8), CHUNK_SAMPLES - 1, CHUNK_SAMPLES,
+                                       CHUNK_SAMPLES + 1])
+    def test_any_start_reads_the_matching_slice(self, start):
+        full = overhauser_samples(2024, CHUNK_SAMPLES + 16, 1.0)
+        for n in (1, 5, 9):
+            assert np.array_equal(overhauser_samples(2024, n, 1.0, start), full[start:start + n])
+
+    def test_one_philox_word_per_sample(self):
+        # Sample i is ndtri of the top 52 bits of word i of stream (seed, 0).
+        from scipy.special import ndtri
+
+        raw = _philox(77, 0).random_raw(1001)
+        uniforms = ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+        assert np.array_equal(overhauser_samples(77, 1001, 1.0), ndtri(uniforms))
+
     def test_deterministic(self):
         assert np.array_equal(
             overhauser_samples(42, 1000, 0.41), overhauser_samples(42, 1000, 0.41)
@@ -278,6 +312,16 @@ class TestOverhauserSamples:
         h = overhauser_samples(7, 400_000, 0.41)
         assert abs(h.mean()) < 5 * 0.41 / np.sqrt(h.size)
         assert abs(h.std() - 0.41) < 0.41 * 5 / np.sqrt(2 * h.size)
+        z = (h - h.mean()) / h.std()
+        assert abs(np.mean(z**3)) < 5 * np.sqrt(6 / h.size)  # skewness
+        assert abs(np.mean(z**4) - 3.0) < 5 * np.sqrt(24 / h.size)  # excess kurtosis
+
+    def test_no_correlation_within_philox_blocks(self):
+        # Four consecutive samples come from one 4-word Philox block.
+        z = overhauser_samples(8, 400_000, 1.0)
+        z = (z - z.mean()) / z.std()
+        for lag in range(1, 5):
+            assert abs(np.mean(z[:-lag] * z[lag:])) < 5 / np.sqrt(z.size)
 
     def test_zero_sigma_degenerate(self):
         assert np.array_equal(overhauser_samples(1, 10, 0.0), np.zeros(10))
@@ -285,7 +329,7 @@ class TestOverhauserSamples:
     def test_stream_pinned(self):
         # Bitwise values of the (seed, 0) stream past the first chunk.
         assert overhauser_samples(1234, 3, 1.0, start=70_000).tolist() == [
-            1.2974778565246112, 1.412535630861472, 0.5226689454349199,
+            0.18787238702592074, -1.0929731285367696, -1.62089755224895,
         ]
 
 
@@ -648,6 +692,31 @@ class TestPublicInputChecks:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 call()
+
+
+# Unchecked, each bool ran as 1.0.
+_BOOL_INPUTS = {
+    "SimConfig.window": lambda value: SimConfig(window=value),
+    "PhysicalParams.s": lambda value: PhysicalParams(s=value, t1=430.0, sigma=0.41, k=0.99),
+    "PhysicalParams.k": lambda value: PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=value),
+    "PhysicalParams.eta_p": lambda value: PhysicalParams(s=0.4, t1=430.0, sigma=0.41,
+                                                         g2_xx=0.0, g2_x=0.0, eta_p=value),
+    "overhauser_samples": lambda value: overhauser_samples(1, 3, value),
+    "analytic_fidelity": lambda value: analytic_fidelity(0.4, 0.41, 430.0, value),
+    "sigma_from_t2star": lambda value: sigma_from_t2star(value),
+    "k_from_g2": lambda value: k_from_g2(0.0, 0.0, value),
+    "coherence_loss": lambda value: coherence_loss(value, 1.7),
+    "simulate_counts": lambda value: simulate_counts(np.eye(4) / 4.0,
+                                                     standard_settings("six_basis"), value),
+    "CountRecord": lambda value: CountRecord(standard_settings("six_basis")[0], 5, value),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True)])
+@pytest.mark.parametrize("call", _BOOL_INPUTS)
+def test_float_inputs_reject_bools(call, value):
+    with pytest.raises(ValueError, match=rf"must be a number, got {value!r}$"):
+        _BOOL_INPUTS[call](value)
 
 
 class TestPhysicalParams:
