@@ -6,15 +6,8 @@ the biexciton-exciton decay, and provides the counting-experiment
 simulation and maximum-likelihood tomography used to characterize them.
 """
 
-from .linalg import HBAR_UEV_PS, InvalidDensityMatrixError, tensor
-from .metrics import (
-    EntanglementMetrics,
-    concurrence,
-    fidelity_phi_plus,
-    metrics_from_rho,
-    purity,
-    trace_distance,
-)
+from .linalg import HBAR_UEV_PS, InvalidDensityMatrixError
+from .metrics import EntanglementMetrics, metrics_from_rho, trace_distance
 from .model import (
     PhysicalParams,
     SimConfig,
@@ -58,9 +51,7 @@ __all__ = [
     "analytic_fidelity",
     "apply_multipair_mixing",
     "coherence_loss",
-    "concurrence",
     "fidelity_from_visibilities",
-    "fidelity_phi_plus",
     "k_from_g2",
     "load_count_records_csv",
     "metrics_from_rho",
@@ -68,12 +59,10 @@ __all__ = [
     "monte_carlo_rho",
     "monte_carlo_rhos",
     "overhauser_samples",
-    "purity",
     "save_count_records_csv",
     "sigma_from_t2star",
     "simulate_counts",
     "standard_settings",
-    "tensor",
     "trace_distance",
     "visibility",
 ]

@@ -22,6 +22,7 @@ from dataclasses import MISSING, asdict, fields, replace
 import numpy as np
 
 from . import metrics, model, tomography
+from .linalg import InvalidDensityMatrixError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -221,7 +222,7 @@ def cmd_simulate(args) -> int:
     rho = model.apply_multipair_mixing(model.monte_carlo_rho(params, config), params.k)
     doc = {
         **asdict(metrics.metrics_from_rho(rho)),
-        "closed_form_fidelity": model.analytic_fidelity(params.s, params.sigma, params.t1, params.k),
+        "closed_form_fidelity": model.analytic_fidelity(params),
         "params": {key: getattr(params, field) for key, field in _PARAMS_TABLE
                    if getattr(params, field) is not None},
         **{key: getattr(config, field) for key, field in _CONFIG_TABLE},
@@ -249,15 +250,15 @@ def cmd_sweep(args) -> int:
         model.sigma_from_t2star(T2_STAR_HIGH_NOISE_NS),
     ]
     s_values = np.linspace(s_min, s_max, args.n_points)
-    rhos = model.monte_carlo_rhos(
-        (model.PhysicalParams(s=float(s), t1=params.t1, sigma=sigma, k=params.k), config)
-        for s in s_values for sigma in sigma_bands
-    )
-    grid = np.reshape([metrics.fidelity_phi_plus(model.apply_multipair_mixing(rho, params.k))
-                       for rho in rhos], (s_values.size, len(sigma_bands)))
+    points = [[model.PhysicalParams(s=float(s), t1=params.t1, sigma=sigma, k=params.k)
+               for sigma in sigma_bands] for s in s_values]
+    rhos = model.monte_carlo_rhos((point, config) for row in points for point in row)
+    mixed = (model.apply_multipair_mixing(rho, params.k) for rho in rhos)
+    grid = np.reshape([metrics.metrics_from_rho(rho).fidelity for rho in mixed],
+                      (s_values.size, len(sigma_bands)))
     rows = []
-    for s, fidelities in zip(s_values, grid):
-        closed_form = model.analytic_fidelity(float(s), sigma_bands[2], params.t1, params.k)
+    for s, row, fidelities in zip(s_values, points, grid):
+        closed_form = model.analytic_fidelity(row[2])  # the reference-noise point
         rows.append([_fmt(s)] + [_fmt(f) for f in fidelities] + [_fmt(closed_form)])
     header = ["S_ueV", "f_sigma0", "f_sigma_low", "f_sigma_ref", "f_sigma_high",
               "f_closed_form_ref"]
@@ -354,9 +355,9 @@ def cmd_tomography(args) -> int:
         raise ConfigError("--max-iterations must be > 0")
     rho_true = model.apply_multipair_mixing(model.monte_carlo_rho(params, config), params.k)
     settings = tomography.standard_settings(args.mode)
-    records = tomography.simulate_counts(
-        rho_true, settings, args.n_per_setting, seed=config.seed, poisson=args.poisson,
-    )
+    records = _build(functools.partial(tomography.simulate_counts, rho_true, settings),
+                     "--n-per-setting", {"n_per_setting": args.n_per_setting,
+                                         "seed": config.seed, "poisson": args.poisson})
     doc = {
         "mode": args.mode,
         "n_per_setting": args.n_per_setting,
@@ -467,6 +468,11 @@ def main(argv=None) -> int:
     except (ConfigError, tomography.InsufficientSettingsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (InvalidDensityMatrixError, tomography.ZeroCountsError) as exc:
+        # Inputs that pass every check can still overflow the averages, or
+        # leave a co/cross pair without counts.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

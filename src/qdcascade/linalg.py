@@ -20,15 +20,6 @@ class InvalidDensityMatrixError(ValueError):
     """Matrix is not Hermitian, unit-trace and positive within tolerance."""
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the left factor first.
-
-    For 2x2 operators and length-2 kets this realizes the HH, HV, VH, VV
-    ordering of the two-photon space.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def assert_density_matrix(rho) -> np.ndarray:
     """Validate and return a two-photon density matrix as a complex array.
 

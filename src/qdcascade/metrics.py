@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_Y, assert_density_matrix, tensor
+from .linalg import SIGMA_Y, assert_density_matrix
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
-_SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
+_SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 @dataclass(frozen=True)
@@ -20,27 +20,8 @@ class EntanglementMetrics:
     concurrence: float
 
 
-def fidelity_phi_plus(rho) -> float:
-    """Overlap with the Bell state (|HH> + |VV>)/sqrt(2), clamped to [0, 1]."""
-    return _fidelity_phi_plus(assert_density_matrix(rho))
-
-
-def _fidelity_phi_plus(rho: np.ndarray) -> float:
-    value = float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))
-    return min(max(value, 0.0), 1.0)
-
-
-def purity(rho) -> float:
-    """Tr(rho^2); 1 for pure states, 1/4 for the maximally mixed state."""
-    return _purity(assert_density_matrix(rho))
-
-
-def _purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))
-
-
-def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def _concurrence(rho: np.ndarray) -> float:
+    """Wootters concurrence of a validated two-qubit density matrix.
 
     C = max(0, lam_1 - lam_2 - lam_3 - lam_4) where the lam_i (descending)
     are the square roots of the eigenvalues of rho rho~ with the spin flip
@@ -51,10 +32,6 @@ def concurrence(rho) -> float:
     machine precision for rank-deficient states; eigenvalue noise down to
     -1e-10 is clamped to zero.
     """
-    return _concurrence(assert_density_matrix(rho))
-
-
-def _concurrence(rho: np.ndarray) -> float:
     p, v = np.linalg.eigh(rho)
     scale = np.sqrt(np.clip(p, 0.0, None))
     symmetric = v.conj().T @ _SPIN_FLIP @ v.conj()
@@ -72,11 +49,15 @@ def trace_distance(rho_a, rho_b) -> float:
 def metrics_from_rho(rho) -> EntanglementMetrics:
     """Fidelity, purity and concurrence of a state in one bundle.
 
-    The state is validated once and shared by the three figures.
+    The state is validated once and shared by the three figures: the
+    overlap with the Bell state (|HH> + |VV>)/sqrt(2), clamped to [0, 1];
+    the purity Tr(rho^2), 1 for pure states and 1/4 for the maximally mixed
+    state; and the Wootters concurrence.
     """
     rho = assert_density_matrix(rho)
+    fidelity = float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))
     return EntanglementMetrics(
-        fidelity=_fidelity_phi_plus(rho),
-        purity=_purity(rho),
+        fidelity=min(max(fidelity, 0.0), 1.0),
+        purity=float(np.real(np.trace(rho @ rho))),
         concurrence=_concurrence(rho),
     )

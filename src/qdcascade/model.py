@@ -103,7 +103,7 @@ def coherence_loss(t1_ps: float, t2_star_ns: float) -> float:
     return float(-np.expm1(-(ratio * ratio)))
 
 
-def analytic_fidelity(s: float, sigma: float, t1: float, k: float) -> float:
+def analytic_fidelity(params: PhysicalParams) -> float:
     """Closed-form estimate of the time-averaged Bell-state fidelity.
 
     f = (1 + k + 2k / (1 + 4 T1^2 (s^2 + sigma^2) / hbar^2)) / 4.
@@ -113,16 +113,7 @@ def analytic_fidelity(s: float, sigma: float, t1: float, k: float) -> float:
     it sits below the quadrature average for broad spin noise. The CLI
     reports both values side by side.
     """
-    _reject_bools(s=s, sigma=sigma, t1=t1, k=k)
-    for name, value in (("s", s), ("sigma", sigma)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if s < 0 or sigma < 0:
-        raise ValueError("s and sigma must be >= 0")
-    if not 0 < t1 < math.inf:
-        raise ValueError(f"t1 must be finite and > 0, got {t1!r}")
-    if not 0.0 < k <= 1.0:
-        raise ValueError("k must lie in (0, 1]")
+    s, sigma, t1, k = params.s, params.sigma, params.t1, params.k
     lorentz = 1.0 / (1.0 + 4.0 * t1 * t1 * (s * s + sigma * sigma) / HBAR_UEV_PS**2)
     return 0.25 * (1.0 + k + 2.0 * k * lorentz)
 
@@ -411,8 +402,9 @@ def _rho_from_moments(real: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.ndarray:
-    """Deterministic Gaussian Overhauser shifts h_z ~ N(0, sigma), in ueV.
+def overhauser_samples(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """Deterministic standard normals z; the Overhauser shifts of a dot are
+    h_z = sigma z ~ N(0, sigma), in ueV.
 
     Sample i is a pure function of (seed, start + i): it is derived from
     64-bit word start + i of the Overhauser stream in the stream table
@@ -420,14 +412,11 @@ def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.nd
     slice of the full stream regardless of how the work is partitioned.
     Philox makes its words in 4-word counter blocks, so the call advances
     start // 4 blocks, draws n + start % 4 words and skips the first
-    start % 4. n and start are integers, n >= 1 and start >= 0, and sigma
-    is finite and >= 0.
+    start % 4. n and start are integers, n >= 1 and start >= 0.
 
-    Grid averages draw the standard normals once per chunk, with
-    sigma = 1, and scale them by each point's sigma (see
-    :func:`monte_carlo_rhos`); sigma * (1.0 * z) is bitwise sigma * z.
-    scipy.special is imported on the first call, so importing the package
-    loads no scipy module.
+    Averages draw each chunk's normals once and scale them by each point's
+    sigma (see :func:`monte_carlo_rhos`). scipy.special is imported on the
+    first call, so importing the package loads no scipy module.
     """
     from scipy.special import ndtri
 
@@ -436,9 +425,6 @@ def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.nd
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    _reject_bools(sigma=sigma)
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if start < 0:
         raise ValueError("start must be >= 0")
     bitgen = _philox(seed, _OVERHAUSER_STREAM)
@@ -448,7 +434,7 @@ def overhauser_samples(seed: int, n: int, sigma: float, start: int = 0) -> np.nd
     raw = bitgen.random_raw(n + skip)[skip:]
     # Map the top 52 bits to the open interval (0, 1); ndtri stays finite.
     uniforms = ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-    return sigma * ndtri(uniforms)
+    return ndtri(uniforms)
 
 
 @functools.cache
@@ -499,10 +485,9 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     uses the cached nodes. The Monte Carlo points must share seed and
     n_samples, so they share one sampler stream: each chunk of standard
     normals z = ndtri(u) is drawn once, and each point in turn adds the
-    moments of its shifts sigma * z, which are bitwise the draws of its own
-    stream. Only one chunk of normals is held at a time, and every point's
-    moments are computed in one float64 workspace made per call:
-    _WORK_ROWS + 1 = 13 rows of up to CHUNK_SAMPLES columns,
+    moments of its shifts sigma * z. Only one chunk of normals is held at a
+    time, and every point's moments are computed in one float64 workspace
+    made per call: _WORK_ROWS + 1 = 13 rows of up to CHUNK_SAMPLES columns,
     13 x 65,536 x 8 B = 6.5 MiB, the last row holding the scaled shifts.
     """
     points = list(points)
@@ -531,7 +516,7 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     work = np.empty((_WORK_ROWS + 1, min(n, CHUNK_SAMPLES)))
     kernel_work, shift_row = work[:_WORK_ROWS], work[_WORK_ROWS]
     for start in range(0, n, CHUNK_SAMPLES):
-        normals = overhauser_samples(seed, min(CHUNK_SAMPLES, n - start), 1.0, start)
+        normals = overhauser_samples(seed, min(CHUNK_SAMPLES, n - start), start)
         shifts = shift_row[:normals.size]
         for j, i in enumerate(sampled):
             params, config = points[i]

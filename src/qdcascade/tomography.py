@@ -9,12 +9,12 @@ reconstructed by maximum likelihood.
 from __future__ import annotations
 
 import csv
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import assert_density_matrix, tensor
+from .linalg import assert_density_matrix
 from .model import _POISSON_STREAM, _is_integer, _philox, _reject_bools
 
 _SQRT2 = np.sqrt(2.0)
@@ -34,6 +34,9 @@ SIX_BASIS_LABELS = ("HH", "HV", "DD", "DA", "RR", "RL")
 SIXTEEN_BASIS_LABELS = tuple(a + b for a in "HVDR" for b in "HVDR")
 
 MLE_DEFAULT_MAX_ITERATIONS = 100_000
+# numpy's Poisson sampler rejects means from about 9.223e18 (the int64
+# range less a margin); a mean is at most n_per_setting.
+_POISSON_MAX_MEAN = 9.2e18
 # L-BFGS-B stopping rule on the count-scaled objective -ll/N: relative
 # change of the objective, and largest gradient component.
 _MLE_FTOL = 1e-12
@@ -61,7 +64,8 @@ class BasisSetting:
             raise ValueError(f"unknown polarization label {self.label!r}")
 
     def product_ket(self) -> np.ndarray:
-        return tensor(POLARIZATION_KETS[self.label[0]], POLARIZATION_KETS[self.label[1]])
+        """First-photon ket (x) second-photon ket, in HH, HV, VH, VV order."""
+        return np.kron(POLARIZATION_KETS[self.label[0]], POLARIZATION_KETS[self.label[1]])
 
 
 @dataclass(frozen=True)
@@ -118,18 +122,22 @@ def simulate_counts(rho, settings, n_per_setting: int, seed: int = 0,
                     poisson: bool = False) -> list[CountRecord]:
     """Coincidence counts for each setting.
 
-    The expectation is n_per_setting (finite and > 0) times the Born-rule
-    probability. With poisson=True the counts are Poisson draws around that
-    mean from the Poisson stream of the stream table in
+    The expectation is n_per_setting (> 0 and finite as a float) times the
+    Born-rule probability. With poisson=True the counts are Poisson draws
+    around that mean from the Poisson stream of the stream table in
     :mod:`qdcascade.model` (see ``_philox``), reproducible for a given seed
-    under the same seed rule as SimConfig; otherwise the rounded
-    expectations are returned. settings may be any iterable.
+    under the same seed rule as SimConfig, and n_per_setting must be below
+    9.2e18; otherwise the rounded expectations are returned. settings may
+    be any iterable.
     """
     rho = assert_density_matrix(rho)
     settings = list(settings)
     _reject_bools(n_per_setting=n_per_setting)
-    if not 0 < n_per_setting < math.inf:
+    if not 0 < n_per_setting <= sys.float_info.max:
         raise ValueError(f"n_per_setting must be finite and > 0, got {n_per_setting!r}")
+    if poisson and not n_per_setting < _POISSON_MAX_MEAN:
+        raise ValueError(f"n_per_setting must be below {_POISSON_MAX_MEAN:g} for Poisson "
+                         f"counts, got {n_per_setting!r}")
     kets = np.array([s.product_ket() for s in settings]).reshape(-1, 4)
     means = np.maximum(_probabilities(rho, kets), 0.0) * n_per_setting
     if poisson:

@@ -1,13 +1,15 @@
 """Shared test helpers: random states, fixed-step ODE oracles, the
 Hamiltonian/propagator reference model of the cascade, the per-sample
 outer-product oracle of the spin-noise average, reference entanglement
-figures, and thin wrappers that call the package's private moment kernel."""
+figures, the single figures of the package's metrics bundle, and thin
+wrappers that call the package's private moment kernel."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix, tensor
+from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix
+from qdcascade.metrics import metrics_from_rho
 from qdcascade.model import _moments, _phase_average, _rho_from_moments
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -222,5 +224,18 @@ def correlation_visibilities(rho) -> tuple[float, float, float]:
     expectation values of sz(x)sz, sx(x)sx and sy(x)sy, which the co/cross
     count ratios estimate."""
     rho = assert_density_matrix(rho)
-    return tuple(float(np.real(np.trace(tensor(pauli, pauli) @ rho)))
+    return tuple(float(np.real(np.trace(np.kron(pauli, pauli) @ rho)))
                  for pauli in (SIGMA_Z, SIGMA_X, SIGMA_Y))
+
+
+# One figure each of the package's validated metrics bundle.
+def fidelity_phi_plus(rho) -> float:
+    return metrics_from_rho(rho).fidelity
+
+
+def purity(rho) -> float:
+    return metrics_from_rho(rho).purity
+
+
+def concurrence(rho) -> float:
+    return metrics_from_rho(rho).concurrence

@@ -8,24 +8,22 @@ the acceptance checklist.
 import time
 
 import numpy as np
+from numpy import kron as tensor
 
 from conftest import (
     IDENTITY_2,
     build_hamiltonian,
+    concurrence,
     concurrence_pure,
     correlation_visibilities,
+    fidelity_phi_plus,
     propagate_rho,
     random_density_matrix,
     random_pure_state,
     rk4_density_batch,
 )
-from qdcascade.linalg import HBAR_UEV_PS, tensor
-from qdcascade.metrics import (
-    concurrence,
-    fidelity_phi_plus,
-    metrics_from_rho,
-    trace_distance,
-)
+from qdcascade.linalg import HBAR_UEV_PS
+from qdcascade.metrics import metrics_from_rho, trace_distance
 from qdcascade.model import (
     PhysicalParams,
     SimConfig,
@@ -157,7 +155,7 @@ def test_monte_carlo_vs_gauss_hermite():
         if sigma == 0.0:
             assert f_mc == f_gh
             continue
-        shifts = overhauser_samples(seed, n, sigma)
+        shifts = sigma * overhauser_samples(seed, n)
         lorentz = 1.0 / (1.0 + (s * s + 4.0 * shifts**2) * (t1 / HBAR_UEV_PS) ** 2)
         per_sample = 0.5 * (1.0 + lorentz)
         # the per-sample fidelity formula anchors the standard error estimate
@@ -181,7 +179,7 @@ def test_ideal_dot_is_perfect_at_every_window():
 
 
 def test_closed_form_fidelity_value_and_gap():
-    closed_form = analytic_fidelity(0.4, 0.41, 430.0, 0.99)
+    closed_form = analytic_fidelity(REFERENCE_PARAMS)
     assert abs(closed_form - 0.8148) <= 1e-4
     rho = apply_multipair_mixing(
         monte_carlo_rho(REFERENCE_PARAMS, REFERENCE_CONFIG), REFERENCE_PARAMS.k

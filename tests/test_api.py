@@ -17,6 +17,8 @@ REMOVED = (
     "sigma_from_composition", "concurrence_pure", "NotNormalizedError",
     "correlation_visibilities", "expected_probability", "SIGMA_X", "SIGMA_Z",
     "_check_t1_window", "_check_finite", "_check_positive",
+    # Second entries beside metrics_from_rho, and a wrapper of np.kron.
+    "fidelity_phi_plus", "purity", "concurrence", "_fidelity_phi_plus", "_purity", "tensor",
 )
 
 

@@ -18,7 +18,7 @@ from qdcascade.model import (
     monte_carlo_rho,
     sigma_from_t2star,
 )
-from qdcascade.metrics import fidelity_phi_plus, metrics_from_rho
+from qdcascade.metrics import metrics_from_rho
 
 REFERENCE_SPEC = resources.files("qdcascade") / "data" / "ingaas_strain_tuned.json"
 LITERATURE = resources.files("qdcascade") / "data" / "literature.json"
@@ -52,7 +52,8 @@ class TestSimulate:
         assert doc["seed"] == 1234
         assert doc["n_samples"] == 200_000
         assert abs(doc["closed_form_fidelity"]
-                   - analytic_fidelity(0.4, 0.41, 430.0, 0.99)) < 1e-12
+                   - analytic_fidelity(PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99))
+                   ) < 1e-12
 
     def test_ideal_dot_all_metrics_one(self, tmp_path):
         spec = write_spec(
@@ -193,7 +194,8 @@ class TestSweep:
     def test_closed_form_column(self, sweep_rows):
         sigma_ref = HBAR_UEV_PS / 1700.0
         for row in sweep_rows[1:]:
-            expected = analytic_fidelity(float(row[0]), sigma_ref, 430.0, 0.99)
+            point = PhysicalParams(s=float(row[0]), t1=430.0, sigma=sigma_ref, k=0.99)
+            expected = analytic_fidelity(point)
             assert abs(float(row[5]) - expected) < 1e-12
 
     def test_large_splitting_tail(self, sweep_rows):
@@ -334,8 +336,8 @@ class TestGridCellsMatchPerPointStates:
         assert len(rows) == 3
         for s, row in zip((0.0, 1.0, 2.0), rows):
             expected = [
-                fidelity_phi_plus(apply_multipair_mixing(monte_carlo_rho(
-                    PhysicalParams(s=s, t1=430.0, sigma=sigma, k=0.99), config), 0.99))
+                metrics_from_rho(apply_multipair_mixing(monte_carlo_rho(
+                    PhysicalParams(s=s, t1=430.0, sigma=sigma, k=0.99), config), 0.99)).fidelity
                 for sigma in sigmas
             ]
             assert row[1:5] == [_fmt(f) for f in expected]
@@ -434,6 +436,38 @@ class TestTomographyCommand:
         code = main(["tomography", str(spec), "--max-iterations", "0"])
         assert code == 2
         assert "--max-iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--poisson", "--n-per-setting", str(10**20)],
+                                       ["--n-per-setting", str(10**400)]],
+                             ids=["poisson-1e20", "rounded-1e400"])
+    def test_rejects_a_budget_the_draw_cannot_hold(self, tmp_path, capsys, flags):
+        spec = write_spec(tmp_path)
+        assert main(["tomography", str(spec), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid --n-per-setting: n_per_setting must be")
+        assert err.count("\n") == 1
+
+
+class TestNumericalFailures:
+    # Inputs that pass every check can still overflow the averages or leave
+    # a co/cross pair without counts; each exits 3 with one error line.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command, message", [
+        (["simulate", "{huge_s}"], "non-finite"),
+        (["window-sweep", "{spec}", "--windows", "1e-300"], "non-finite"),
+        (["window-sweep", "{spec}", "--windows", "1e300"], "non-finite"),
+        (["tomography", "{spec}", "--mode", "six_basis", "--n-per-setting", "1"], "zero counts"),
+    ], ids=["huge-splitting", "tiny-window", "huge-window", "one-count-per-setting"])
+    def test_exits_3(self, tmp_path, capsys, command, message):
+        paths = {
+            "spec": write_spec(tmp_path),
+            "huge_s": write_spec(tmp_path, "huge_s.json", params={
+                "s_ueV": 1e200, "sigma_ueV": 0.41, "t1_ps": 430.0, "k": 0.99}),
+        }
+        assert main([arg.format(**paths) for arg in command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
 
 class TestNumberInputs:

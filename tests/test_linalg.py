@@ -1,24 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import IDENTITY_2, SIGMA_Z, random_density_matrix, rk4_unitary, unitary_exp
-from qdcascade.linalg import (
-    HBAR_UEV_PS,
-    IDENTITY_4,
-    InvalidDensityMatrixError,
-    assert_density_matrix,
-    tensor,
-)
-from qdcascade.metrics import concurrence, fidelity_phi_plus, purity, trace_distance
+from conftest import IDENTITY_2, random_density_matrix, rk4_unitary, unitary_exp
+from qdcascade.linalg import HBAR_UEV_PS, InvalidDensityMatrixError, assert_density_matrix
+from qdcascade.metrics import metrics_from_rho, trace_distance
 from qdcascade.model import apply_multipair_mixing
-from qdcascade.tomography import simulate_counts, standard_settings
+from qdcascade.tomography import BasisSetting, simulate_counts, standard_settings
 
 # Public functions that take a two-photon density matrix.
 _STATE_ENTRY_POINTS = {
     "assert_density_matrix": assert_density_matrix,
-    "fidelity_phi_plus": fidelity_phi_plus,
-    "purity": purity,
-    "concurrence": concurrence,
+    "metrics_from_rho": metrics_from_rho,
     "apply_multipair_mixing": lambda rho: apply_multipair_mixing(rho, 0.9),
     "trace_distance": lambda rho: trace_distance(rho, rho),
     "simulate_counts": lambda rho: simulate_counts(rho, standard_settings("six_basis"), 100),
@@ -26,23 +18,10 @@ _STATE_ENTRY_POINTS = {
 
 
 class TestTensor:
-    def test_identity(self):
-        assert np.array_equal(tensor(IDENTITY_2, IDENTITY_2), IDENTITY_4)
-
-    def test_sigma_z_identity(self):
-        assert np.array_equal(tensor(SIGMA_Z, IDENTITY_2), np.diag([1, 1, -1, -1]).astype(complex))
-
+    # The two-photon space is ordered HH, HV, VH, VV: first photon first.
     def test_basis_order(self):
-        h = np.array([1.0, 0.0])
-        v = np.array([0.0, 1.0])
-        assert np.array_equal(tensor(h, v), np.array([0, 1, 0, 0], dtype=complex))
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert abs(np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
+        assert np.array_equal(BasisSetting("HV").product_ket(),
+                              np.array([0, 1, 0, 0], dtype=complex))
 
 
 class TestUnitaryExp:

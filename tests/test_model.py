@@ -14,18 +14,21 @@ from conftest import (
     IDENTITY_2,
     build_hamiltonian,
     closed_form_phase_average,
+    concurrence,
     concurrence_pure,
     exciton_eigensystem,
+    fidelity_phi_plus,
     fixed_shift_rho,
     outer_product_rho,
     phase_average,
     propagate_rho,
+    purity,
     random_density_matrix,
     rk4_density_batch,
     two_photon_state,
 )
-from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix, tensor
-from qdcascade.metrics import PHI_PLUS, fidelity_phi_plus
+from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix
+from qdcascade.metrics import PHI_PLUS
 from qdcascade.model import (
     PhysicalParams,
     SimConfig,
@@ -111,8 +114,6 @@ class TestTwoPhotonState:
 
     def test_instantaneous_state_is_maximally_entangled(self):
         # phase evolution alone never degrades the single-event entanglement
-        from qdcascade.metrics import concurrence
-
         for s, h_z in ((1.3, 0.0), (0.4, 0.41), (0.0, 2.0), (2.5, -1.7)):
             j, l, delta = exciton_eigensystem(build_hamiltonian(s, h_z))
             for t in (0.0, 55.0, 430.0, 2000.0):
@@ -146,7 +147,7 @@ class TestPropagateRho:
         h = build_hamiltonian(1.7, -0.8)
         t = 100.0
         oracle = rk4_density_batch(
-            rho0[None, :, :], tensor(IDENTITY_2, h)[None, :, :], np.array([t]), n_steps=10000
+            rho0[None, :, :], np.kron(IDENTITY_2, h)[None, :, :], np.array([t]), n_steps=10000
         )[0]  # step 0.01 ps
         assert np.abs(propagate_rho(rho0, h, t) - oracle).max() < 1e-8
 
@@ -163,7 +164,7 @@ class TestPropagateRho:
                    (0.1, 4.0, 4200.0), (7.3, 0.0, 3600.0)]
         rho0 = np.array([random_density_matrix(rng) for _ in triples])
         hams = np.array([build_hamiltonian(s, h) for s, h, _ in triples])
-        h_total = np.array([tensor(IDENTITY_2, h) for h in hams])
+        h_total = np.array([np.kron(IDENTITY_2, h) for h in hams])
         times = np.array([t for _, _, t in triples])
         oracle = rk4_density_batch(rho0, h_total, times, n_steps=50_000)
         for i, (s, h_z, t) in enumerate(triples):
@@ -283,17 +284,17 @@ class TestTimeAveragedRho:
 
 class TestOverhauserSamples:
     def test_counter_based_subranges(self):
-        full = overhauser_samples(987654321, 64, 0.5)
-        assert np.array_equal(full[10:30], overhauser_samples(987654321, 20, 0.5, start=10))
-        assert np.array_equal(full[:5], overhauser_samples(987654321, 5, 0.5))
+        full = overhauser_samples(987654321, 64)
+        assert np.array_equal(full[10:30], overhauser_samples(987654321, 20, start=10))
+        assert np.array_equal(full[:5], overhauser_samples(987654321, 5))
 
     # Every start % 4, the edge of a 4-word Philox block and of a chunk.
     @pytest.mark.parametrize("start", [*range(8), CHUNK_SAMPLES - 1, CHUNK_SAMPLES,
                                        CHUNK_SAMPLES + 1])
     def test_any_start_reads_the_matching_slice(self, start):
-        full = overhauser_samples(2024, CHUNK_SAMPLES + 16, 1.0)
+        full = overhauser_samples(2024, CHUNK_SAMPLES + 16)
         for n in (1, 5, 9):
-            assert np.array_equal(overhauser_samples(2024, n, 1.0, start), full[start:start + n])
+            assert np.array_equal(overhauser_samples(2024, n, start), full[start:start + n])
 
     def test_one_philox_word_per_sample(self):
         # Sample i is ndtri of the top 52 bits of word i of stream (seed, 0).
@@ -301,34 +302,29 @@ class TestOverhauserSamples:
 
         raw = _philox(77, 0).random_raw(1001)
         uniforms = ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-        assert np.array_equal(overhauser_samples(77, 1001, 1.0), ndtri(uniforms))
+        assert np.array_equal(overhauser_samples(77, 1001), ndtri(uniforms))
 
     def test_deterministic(self):
-        assert np.array_equal(
-            overhauser_samples(42, 1000, 0.41), overhauser_samples(42, 1000, 0.41)
-        )
+        assert np.array_equal(overhauser_samples(42, 1000), overhauser_samples(42, 1000))
 
     def test_gaussian_moments(self):
-        h = overhauser_samples(7, 400_000, 0.41)
-        assert abs(h.mean()) < 5 * 0.41 / np.sqrt(h.size)
-        assert abs(h.std() - 0.41) < 0.41 * 5 / np.sqrt(2 * h.size)
+        h = overhauser_samples(7, 400_000)
+        assert abs(h.mean()) < 5 / np.sqrt(h.size)
+        assert abs(h.std() - 1.0) < 5 / np.sqrt(2 * h.size)
         z = (h - h.mean()) / h.std()
         assert abs(np.mean(z**3)) < 5 * np.sqrt(6 / h.size)  # skewness
         assert abs(np.mean(z**4) - 3.0) < 5 * np.sqrt(24 / h.size)  # excess kurtosis
 
     def test_no_correlation_within_philox_blocks(self):
         # Four consecutive samples come from one 4-word Philox block.
-        z = overhauser_samples(8, 400_000, 1.0)
+        z = overhauser_samples(8, 400_000)
         z = (z - z.mean()) / z.std()
         for lag in range(1, 5):
             assert abs(np.mean(z[:-lag] * z[lag:])) < 5 / np.sqrt(z.size)
 
-    def test_zero_sigma_degenerate(self):
-        assert np.array_equal(overhauser_samples(1, 10, 0.0), np.zeros(10))
-
     def test_stream_pinned(self):
         # Bitwise values of the (seed, 0) stream past the first chunk.
-        assert overhauser_samples(1234, 3, 1.0, start=70_000).tolist() == [
+        assert overhauser_samples(1234, 3, start=70_000).tolist() == [
             0.18787238702592074, -1.0929731285367696, -1.62089755224895,
         ]
 
@@ -357,7 +353,7 @@ class TestMomentAverage:
     def test_chunk_boundaries(self, n):
         params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=1.0)
         config = SimConfig(n_samples=n, seed=2024, window=350.0)
-        shifts = overhauser_samples(config.seed, n, params.sigma)
+        shifts = params.sigma * overhauser_samples(config.seed, n)
         whole = _rho_from_moments(*_moments(params.s, shifts, params.t1, config.window,
                                             np.full(n, 1.0 / n)))
         assert np.abs(monte_carlo_rho(params, config) - whole).max() <= 1e-13
@@ -414,8 +410,8 @@ class TestMomentKernel:
     @staticmethod
     def chunks():
         """A full chunk, then a shorter tail; both hold an exact zero shift."""
-        full = overhauser_samples(31, CHUNK_SAMPLES, 0.6)
-        tail = overhauser_samples(31, 999, 0.6, start=CHUNK_SAMPLES)
+        full = 0.6 * overhauser_samples(31, CHUNK_SAMPLES)
+        tail = 0.6 * overhauser_samples(31, 999, start=CHUNK_SAMPLES)
         full[17] = tail[3] = 0.0
         return full, tail
 
@@ -540,7 +536,8 @@ def per_point_rho(params, config):
     cross = np.zeros(5, dtype=complex)
     n = config.n_samples
     for start in range(0, n, CHUNK_SAMPLES):
-        shifts = overhauser_samples(config.seed, min(CHUNK_SAMPLES, n - start), params.sigma, start)
+        normals = overhauser_samples(config.seed, min(CHUNK_SAMPLES, n - start), start)
+        shifts = params.sigma * normals
         chunk_real, chunk_cross = _moments(params.s, shifts, params.t1, config.window, 1.0)
         real += chunk_real
         cross += chunk_cross
@@ -621,14 +618,12 @@ class TestMixing:
         assert np.abs(mixed - np.eye(4) / 4.0).max() < 1e-13
 
     def test_werner_metrics_against_eigensolve_oracle(self):
-        from qdcascade.metrics import concurrence, purity
-
         k = 0.99
         werner = apply_multipair_mixing(PHI_PLUS_RHO, k)
         assert abs(fidelity_phi_plus(werner) - (3 * k + 1) / 4) < 1e-12
         assert abs(purity(werner) - (k * k + (1 - k * k) / 4)) < 1e-12
         # brute-force spectrum of rho rho~ as an independent route
-        yy = tensor(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+        yy = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
         lam = np.sqrt(np.sort(np.abs(np.linalg.eigvals(werner @ yy @ werner.conj() @ yy)))[::-1])
         oracle = max(0.0, 2 * lam[0] - lam.sum())
         assert abs(oracle - (3 * k - 1) / 2) < 1e-10
@@ -662,30 +657,24 @@ class TestConversions:
 
 class TestAnalyticFidelity:
     def test_perfect_limit(self):
-        assert analytic_fidelity(0.0, 0.0, 430.0, 1.0) == 1.0
+        assert analytic_fidelity(PhysicalParams(s=0.0, t1=430.0, sigma=0.0, k=1.0)) == 1.0
 
     def test_large_splitting_limit(self):
         k = 0.9
-        assert abs(analytic_fidelity(1e9, 0.0, 430.0, k) - (1 + k) / 4) < 1e-12
+        params = PhysicalParams(s=1e9, t1=430.0, sigma=0.0, k=k)
+        assert abs(analytic_fidelity(params) - (1 + k) / 4) < 1e-12
 
     def test_reference_point(self):
-        assert abs(analytic_fidelity(0.4, 0.41, 430.0, 0.99) - 0.8148) < 1e-4
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99)
+        assert abs(analytic_fidelity(params) - 0.8148) < 1e-4
 
 
 class TestPublicInputChecks:
-    # Unchecked, each of these returned NaN, a meaningless number or a value
-    # for a negative lifetime.
+    # n and start count samples; a float or a bool is not a count.
     @pytest.mark.parametrize("call, message", [
-        (lambda: analytic_fidelity(math.nan, 0.41, 430.0, 0.99), "s must be finite"),
-        (lambda: analytic_fidelity(0.4, math.inf, 430.0, 1.0), "sigma must be finite"),
-        (lambda: analytic_fidelity(0.4, 0.41, math.inf, 1.0), "t1 must be finite and > 0"),
-        (lambda: analytic_fidelity(0.4, 0.41, 0.0, 1.0), "t1 must be finite and > 0"),
-        (lambda: overhauser_samples(1, 4, math.nan), "sigma must be finite and >= 0"),
-        (lambda: overhauser_samples(1, 4, math.inf), "sigma must be finite and >= 0"),
-        (lambda: overhauser_samples(1, 4, -0.5), "sigma must be finite and >= 0"),
-        (lambda: overhauser_samples(1, 2.5, 1.0), "n must be an integer"),
-        (lambda: overhauser_samples(1, True, 1.0), "n must be an integer"),
-        (lambda: overhauser_samples(1, 4, 1.0, 1.5), "start must be an integer"),
+        (lambda: overhauser_samples(1, 2.5), "n must be an integer"),
+        (lambda: overhauser_samples(1, True), "n must be an integer"),
+        (lambda: overhauser_samples(1, 4, 1.5), "start must be an integer"),
     ])
     def test_rejects_non_finite_and_non_positive(self, call, message):
         with warnings.catch_warnings():
@@ -701,8 +690,6 @@ _BOOL_INPUTS = {
     "PhysicalParams.k": lambda value: PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=value),
     "PhysicalParams.eta_p": lambda value: PhysicalParams(s=0.4, t1=430.0, sigma=0.41,
                                                          g2_xx=0.0, g2_x=0.0, eta_p=value),
-    "overhauser_samples": lambda value: overhauser_samples(1, 3, value),
-    "analytic_fidelity": lambda value: analytic_fidelity(0.4, 0.41, 430.0, value),
     "sigma_from_t2star": lambda value: sigma_from_t2star(value),
     "k_from_g2": lambda value: k_from_g2(0.0, 0.0, value),
     "coherence_loss": lambda value: coherence_loss(value, 1.7),
@@ -792,7 +779,7 @@ class TestSimConfig:
 # The one seed rule and the Philox stream table behind every seeded call.
 _SEEDED_CALLS = {
     "SimConfig": lambda seed: SimConfig(seed=seed),
-    "overhauser_samples": lambda seed: overhauser_samples(seed, 4, 1.0),
+    "overhauser_samples": lambda seed: overhauser_samples(seed, 4),
     "simulate_counts": lambda seed: simulate_counts(
         np.eye(4) / 4.0, standard_settings("six_basis"), 100, seed=seed, poisson=True),
 }

@@ -11,9 +11,9 @@ from hypothesis import given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from conftest import random_density_matrix
+from conftest import fidelity_phi_plus, purity, random_density_matrix
 from qdcascade.linalg import InvalidDensityMatrixError
-from qdcascade.metrics import PHI_PLUS, fidelity_phi_plus, purity, trace_distance
+from qdcascade.metrics import PHI_PLUS, trace_distance
 from qdcascade.model import PhysicalParams, SimConfig, apply_multipair_mixing, monte_carlo_rho
 from qdcascade.tomography import (
     POLARIZATION_KETS,
@@ -114,6 +114,20 @@ class TestSimulateCounts:
     def test_rejects_n_per_setting_not_finite_and_positive(self, n_per_setting):
         with pytest.raises(ValueError, match="n_per_setting must be finite and > 0"):
             simulate_counts(MIXED, standard_settings("six_basis"), n_per_setting)
+
+    # Unchecked, 10**400 overflowed the float conversion and a mean above
+    # about 9.2e18 failed inside numpy's Poisson sampler.
+    @pytest.mark.parametrize("poisson, n_per_setting", [(False, 10**400), (True, 9.2e18),
+                                                        (True, 10**20)],
+                             ids=["rounded-1e400", "poisson-9.2e18", "poisson-1e20"])
+    def test_rejects_a_budget_the_draw_cannot_hold(self, poisson, n_per_setting):
+        with pytest.raises(ValueError, match="^n_per_setting must be"):
+            simulate_counts(MIXED, standard_settings("six_basis"), n_per_setting,
+                            poisson=poisson)
+
+    def test_poisson_budget_just_below_the_ceiling(self):
+        records = simulate_counts(PHI_PLUS_RHO, [BasisSetting("HH")], 9.1e18, poisson=True)
+        assert abs(records[0].counts - 4.55e18) < 1e10
 
     def test_poisson_deterministic(self):
         settings = standard_settings("sixteen_basis")
