@@ -269,11 +269,11 @@ def cmd_sweep(args) -> int:
 def cmd_window_sweep(args) -> int:
     params, config, _ = load_run_spec(args.run_spec, args)
     windows = [_number(w, "--windows") for w in args.windows]
-    if any(w <= 0 for w in windows):
-        raise ConfigError("windows must be positive")
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ConfigError("windows must be strictly ascending")
-    rhos = model.monte_carlo_rhos((params, replace(config, window=w)) for w in windows)
+    windowed = [_build(functools.partial(replace, config), "--windows", {"window": w})
+                for w in windows]
+    rhos = model.monte_carlo_rhos((params, c) for c in windowed)
     rows = []
     for window, rho in zip(windows, rhos):
         # Dephasing-only figures: the multi-pair mixing channel is not part
@@ -349,8 +349,6 @@ def cmd_compare(args) -> int:
 
 def cmd_tomography(args) -> int:
     params, config, _ = load_run_spec(args.run_spec, args)
-    if args.n_per_setting <= 0:
-        raise ConfigError("--n-per-setting must be > 0")
     if args.max_iterations <= 0:
         raise ConfigError("--max-iterations must be > 0")
     rho_true = model.apply_multipair_mixing(model.monte_carlo_rho(params, config), params.k)
@@ -383,14 +381,12 @@ def cmd_tomography(args) -> int:
         }
     else:
         result = tomography.mle_reconstruct(records, max_iterations=args.max_iterations)
+        fit = asdict(result)
+        del fit["rho"], fit["history"]
         doc["reconstruction"] = {
             **asdict(metrics.metrics_from_rho(result.rho)),
             "trace_distance": metrics.trace_distance(result.rho, rho_true),
-            "log_likelihood": result.log_likelihood,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "message": result.message,
-            "gradient_norm": result.gradient_norm,
+            **fit,
             "density_matrix": _density_matrix_doc(result.rho),
         }
         if not result.converged:

@@ -1,4 +1,4 @@
-"""Minimal complex linear algebra for 2- and 4-dimensional Hilbert spaces."""
+"""The package's unit constant and two-photon density-matrix validation."""
 
 from __future__ import annotations
 

@@ -28,8 +28,8 @@ PS_PER_US = 1e6
 
 QUADRATURE_MODES = ("monte_carlo", "gauss_hermite")
 
-# Agreement required between an explicit sigma and the one implied by a
-# simultaneously given T2*, in ueV.
+# Agreement required between an input and the one implied by its other
+# form, given together: sigma and hbar/T2* in ueV, k and k_from_g2.
 SIGMA_MATCH_TOL = 1e-6
 
 
@@ -92,14 +92,10 @@ def k_from_g2(g2_xx: float, g2_x: float, eta_p: float) -> float:
     return 1.0 - 0.5 * (g2_xx + g2_x) * eta_p
 
 
-def coherence_loss(t1_ps: float, t2_star_ns: float) -> float:
-    """Time-averaged exciton coherence loss 1 - exp(-(T1/T2*)^2)."""
-    _reject_bools(t1=t1_ps, t2_star=t2_star_ns)
-    if not t1_ps > 0:
-        raise ValueError("t1 must be > 0")
-    if not t2_star_ns > 0:
-        raise ValueError("t2_star must be > 0")
-    ratio = t1_ps / (t2_star_ns * PS_PER_NS)
+def coherence_loss(params: PhysicalParams) -> float:
+    """Time-averaged exciton coherence loss 1 - exp(-(T1/T2*)^2), with
+    T1/T2* = T1 sigma/hbar."""
+    ratio = params.t1 * params.sigma / HBAR_UEV_PS
     return float(-np.expm1(-(ratio * ratio)))
 
 
@@ -129,7 +125,8 @@ class PhysicalParams:
         sigma = hbar/T2*.
     t2_star: inhomogeneous electron spin coherence time, ns.
     k: fraction of cycles with at most one photon pair, in (0, 1]. May be
-        omitted when g2_xx, g2_x and eta_p are all given instead.
+        omitted when g2_xx, g2_x and eta_p are all given instead; if both
+        forms are given they must agree via k_from_g2.
     t1_xx: biexciton lifetime, ps. Metadata only, unused by the model.
     tau_s: nuclear spin correlation time, us. Metadata; a warning is issued
         when it undercuts the frozen-spin assumption tau_s >> T1.
@@ -171,12 +168,19 @@ class PhysicalParams:
                     f"sigma={self.sigma} disagrees with hbar/T2* = {implied:.6f} ueV"
                 )
         g2_inputs = (self.g2_xx, self.g2_x, self.eta_p)
-        if self.k is None:
-            if any(x is None for x in g2_inputs):
-                raise ValueError("provide k, or all of g2_xx, g2_x and eta_p")
-            object.__setattr__(self, "k", k_from_g2(self.g2_xx, self.g2_x, self.eta_p))
-        elif any(x is not None for x in g2_inputs):
-            raise ValueError("give either k or the g2/eta_p inputs, not both")
+        if g2_inputs != (None, None, None):
+            for name, value in zip(("g2_xx", "g2_x", "eta_p"), g2_inputs):
+                if value is None:
+                    raise ValueError(f"{name} is missing: give all of g2_xx, g2_x and eta_p")
+            implied = k_from_g2(*g2_inputs)
+            if self.k is None:
+                object.__setattr__(self, "k", implied)
+            elif abs(self.k - implied) > SIGMA_MATCH_TOL:
+                raise ValueError(
+                    f"k={self.k} disagrees with k from g2_xx, g2_x and eta_p = {implied:.6f}"
+                )
+        elif self.k is None:
+            raise ValueError("provide k, or all of g2_xx, g2_x and eta_p")
         if not 0.0 < self.k <= 1.0:
             raise ValueError("k must lie in (0, 1]")
         if self.t1_xx is not None and not self.t1_xx > 0:
@@ -230,20 +234,20 @@ class SimConfig:
             raise ValueError("gh_order must lie in [3, 64]")
 
 
-def _phase_average(delta: np.ndarray, t1: float, window: float | None, re_g: np.ndarray,
+def _phase_average(energy: np.ndarray, t1: float, window: float | None, re_g: np.ndarray,
                    im_g: np.ndarray, scratch: np.ndarray) -> None:
     """Write Re g and Im g of the emission phase average into re_g and im_g.
 
     g is the average of exp(-i delta t / hbar) over the delay density
     exp(-t/T1)/T1, truncated to [0, window] and renormalized when a window
-    is given. delta is a float array of splittings (ueV), re_g and im_g are
-    float rows of its size, and scratch holds three more such rows, used
-    only with a window. delta is not written. Real arithmetic only:
+    is given, at the splitting delta = 2E of each entry E of energy (ueV).
+    re_g and im_g are float rows of its size, scratch holds three more,
+    used only with a window, and energy is not written. Real arithmetic only:
 
-    - No window: g = 1/(1 + i w) with w = delta T1/hbar, so Re g =
-      1/(1 + w^2) and Im g = -w Re g.
+    - No window: g = 1/(1 + i w) with w = delta T1/hbar = E (2 T1/hbar), so
+      Re g = 1/(1 + w^2) and Im g = -w Re g.
     - Window W: g = (expm1(-x)/x) / (expm1(-a)/a) with x = a + i b,
-      a = W/T1 and b = delta W/hbar. a is one scalar, so
+      a = W/T1 and b = delta W/hbar = E (2 W/hbar). a is one scalar, so
       (a/expm1(-a)) expm1(-x) = nr + i ni with nr = a - 2 damp sin^2(b/2),
       ni = -damp sin b and damp = exp(-a) a/expm1(-a) < 0. The terms of nr
       share a sign, so there is no cancellation at small a or b. Then
@@ -257,7 +261,7 @@ def _phase_average(delta: np.ndarray, t1: float, window: float | None, re_g: np.
     """
     if window is None:
         minus_w = im_g
-        np.multiply(delta, -(t1 / HBAR_UEV_PS), out=minus_w)
+        np.multiply(energy, -2.0 * (t1 / HBAR_UEV_PS), out=minus_w)
         np.multiply(minus_w, minus_w, out=re_g)
         np.add(re_g, 1.0, out=re_g)
         np.reciprocal(re_g, out=re_g)
@@ -266,7 +270,7 @@ def _phase_average(delta: np.ndarray, t1: float, window: float | None, re_g: np.
     a = window / t1
     damp = math.exp(-a) * (a / math.expm1(-a))
     b, nr, ni = scratch[0], scratch[1], scratch[2]
-    np.multiply(delta, window / HBAR_UEV_PS, out=b)
+    np.multiply(energy, 2.0 * (window / HBAR_UEV_PS), out=b)
     tan_half = nr
     np.multiply(0.5, b, out=tan_half)
     np.tan(tan_half, out=tan_half)
@@ -327,10 +331,10 @@ _RHO_FROM_MOMENTS = _moment_map()
 # changes the summation order and with it the last bits of every output.
 CHUNK_SAMPLES = 65_536
 
-# Rows of the _moments workspace: x, y, the energy E and delta = 2E in rows
-# 5-8, Re g and Im g in rows 10-11, and the windowed phase average's
-# scratch in rows 0-2. Then the five basis rows 0-4 and, over rows 5-9, the
-# basis times Re g (windowed) or the weighted E and h (unwindowed).
+# Rows of the _moments workspace: x, y and the energy E in rows 5-7, Re g
+# and Im g in rows 10-11, and the windowed phase average's scratch in rows
+# 0-2. Then the five basis rows 0-4 and, over rows 5-9, the basis times
+# Re g (windowed) or the weighted E and h (unwindowed).
 _WORK_ROWS = 12
 
 
@@ -369,10 +373,8 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     np.divide(half, energy, out=x, where=nonzero)
     y.fill(0.0)
     np.divide(shifts, energy, out=y, where=nonzero)
-    delta = work[8, :n]
-    np.multiply(2.0, energy, out=delta)
     re_g, im_g = work[10, :n], work[11, :n]
-    _phase_average(delta, t1, window, re_g, im_g, work[:3, :n])
+    _phase_average(energy, t1, window, re_g, im_g, work[:3, :n])
     basis = work[:5, :n]
     basis[0] = weights
     np.multiply(basis[0], x, out=basis[1])

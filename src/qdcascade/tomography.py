@@ -230,26 +230,23 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     ``max_iterations``, an integer >= 1 (not a bool); ``converged`` is
     False when that cap, or any other abnormal stop, ends the run.
     ``message`` is the optimizer's termination message and
-    ``gradient_norm`` the norm of the final count-scaled gradient. ``history`` holds the log-likelihood at the start and after
-    every step; it is non-decreasing because a step is only accepted when
-    it lowers the objective.
+    ``gradient_norm`` the norm of the final count-scaled gradient.
+    ``history`` holds the log-likelihood at the start and after every
+    step; it is non-decreasing because a step is only accepted when it
+    lowers the objective.
 
-    Requires at least 16 linearly independent projectors; six-basis input
-    is rejected.
+    Requires at least 16 linearly independent projectors, so fewer than
+    16 records and six-basis input are rejected.
     """
     if not _is_integer(max_iterations) or max_iterations < 1:
         raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     records = list(records)
-    if len(records) < 16:
-        raise InsufficientSettingsError(
-            f"full reconstruction needs >= 16 settings, got {len(records)}"
-        )
     projectors = np.array([r.setting.product_ket() for r in records])
     operators = np.array([np.outer(p, p.conj()).ravel() for p in projectors])
     if np.linalg.matrix_rank(operators, tol=1e-10) < 16:
         raise InsufficientSettingsError(
             "settings do not span the state space (16 linearly independent "
-            "projectors required)"
+            f"projectors required, got {len(records)} records)"
         )
     counts = np.array([float(r.counts) for r in records])
     weights = np.array([float(r.acquisition_weight) for r in records])

@@ -198,10 +198,10 @@ def closed_form_phase_average(delta, t1: float, window=None) -> np.ndarray:
 def phase_average(delta, t1: float, window=None) -> np.ndarray:
     """The package's emission phase average at an array of splittings delta,
     as complex values: the rows that the moment kernel's _phase_average
-    writes."""
+    writes from the half-splittings E = delta/2."""
     delta = np.asarray(delta, dtype=float)
     rows = np.empty((5, delta.size))
-    _phase_average(delta.ravel(), t1, window, rows[0], rows[1], rows[2:])
+    _phase_average(0.5 * delta.ravel(), t1, window, rows[0], rows[1], rows[2:])
     return (rows[0] + 1j * rows[1]).reshape(delta.shape)
 
 

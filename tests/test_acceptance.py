@@ -70,10 +70,10 @@ def test_sigma_from_coherence_time():
 
 
 def test_coherence_loss_figures():
-    low = coherence_loss(230.0, 2.6)
+    low = coherence_loss(PhysicalParams(s=0.0, t1=230.0, t2_star=2.6, k=1.0))
     assert abs(low - 0.0078) < 1e-5
     assert low < 0.01  # reported as below one percent
-    high = coherence_loss(420.0, 1.7)
+    high = coherence_loss(PhysicalParams(s=0.0, t1=420.0, t2_star=1.7, k=1.0))
     assert 0.05 <= high <= 0.07
     print(f"PASS coherence loss: 230ps/2.6ns -> {low:.5f} (<1%), "
           f"420ps/1.7ns -> {high:.4f} (in [0.05, 0.07])")

@@ -155,6 +155,60 @@ class TestSimulate:
         assert main(["simulate", str(reference), "--out", str(expected)]) == 0
         assert out.read_bytes() == expected.read_bytes()
 
+    # Each malformed run spec exits 2 with one error line and no output.
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "run spec must be a JSON object"),
+        ('{"config": {}}', "missing key 'params' in run spec"),
+        ('{"params": [0.4]}', "params must be a JSON object"),
+        ('{"params": {"s_ueV": 0.4, "sigma_ueV": 0.41, "k": 0.99}}',
+         "missing key 't1_ps' in params"),
+        ('{"params": {"s_ueV": 0.4, "sigma_ueV": 0.41, "t1_ps": 430.0, "k": 0.99}, '
+         '"config": 5}', "config must be a JSON object"),
+        ('{"params": {"s_ueV": 0.4, "sigma_ueV": 0.41, "t1_ps": 430.0, "k": 0.99}, '
+         '"outputs": []}', "'outputs' must be a non-empty list"),
+        ('{"params": {"s_ueV": 0.4, "sigma_ueV": 0.41, "t1_ps": 430.0, "k": 0.99}, '
+         '"outputs": ["pdf"]}', "unknown output mode 'pdf' in outputs"),
+        ('{"params": {"s_ueV": 0.4, "sigma_ueV": 0.41, "t1_ps": 430.0, "k": 0.9, '
+         '"g2_xx": 0.009, "g2_x": 0.002, "eta_p": 0.7}}', "k=0.9 disagrees with k from"),
+        (None, "cannot read"),
+    ], ids=["not-an-object", "no-params", "params-not-an-object", "missing-key",
+            "config-not-an-object", "empty-outputs", "unknown-output", "k-disagrees-with-g2",
+            "unreadable"])
+    def test_rejects_malformed_run_spec(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "spec.json"
+        if text is not None:
+            spec.write_text(text, encoding="utf-8")
+        assert main(["simulate", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_config_defaults_without_config_key(self, tmp_path):
+        params = {"s_ueV": 0.4, "sigma_ueV": 0.41, "t1_ps": 430.0, "k": 0.99}
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"params": params}), encoding="utf-8")
+        explicit = write_spec(tmp_path, params=params, config={})
+        out, expected = tmp_path / "out.json", tmp_path / "expected.json"
+        flags = ["--quadrature", "gauss_hermite"]
+        assert main(["simulate", str(bare), *flags, "--out", str(out)]) == 0
+        assert main(["simulate", str(explicit), *flags, "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_k_with_agreeing_g2_inputs(self, tmp_path):
+        g2 = {"g2_xx": 0.009, "g2_x": 0.002, "eta_p": 0.7}
+        both = write_spec(tmp_path, "both.json", params={
+            "s_ueV": 0.4, "sigma_ueV": 0.41, "t1_ps": 430.0, "k": 0.99615, **g2})
+        g2_only = write_spec(tmp_path, "g2.json", params={
+            "s_ueV": 0.4, "sigma_ueV": 0.41, "t1_ps": 430.0, **g2})
+        out, expected = tmp_path / "out.json", tmp_path / "expected.json"
+        flags = ["--quadrature", "gauss_hermite"]
+        assert main(["simulate", str(both), *flags, "--out", str(out)]) == 0
+        assert main(["simulate", str(g2_only), *flags, "--out", str(expected)]) == 0
+        doc, reference = (json.loads(p.read_text(encoding="utf-8")) for p in (out, expected))
+        assert doc["params"] == {**reference["params"], "k": 0.99615}
+        assert abs(doc["fidelity"] - reference["fidelity"]) < 1e-12
+
     def test_module_entry_point(self, tmp_path):
         spec = write_spec(tmp_path)
         proc = subprocess.run(
@@ -255,6 +309,16 @@ class TestWindowSweep:
         assert main(["window-sweep", str(spec), "--windows", "300", "100"]) == 2
         assert main(["window-sweep", str(spec), "--windows", "-5"]) == 2
 
+    # SimConfig's window rule, reported under the flag.
+    @pytest.mark.parametrize("windows", [["0"], ["-1", "5"]], ids=["zero", "negative"])
+    def test_rejects_non_positive_windows(self, tmp_path, capsys, windows):
+        spec = write_spec(tmp_path)
+        assert main(["window-sweep", str(spec), "--windows", *windows]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid --windows: window must be")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestCompare:
     def test_bundled_literature(self, tmp_path, capsys):
@@ -290,6 +354,19 @@ class TestCompare:
         }]}), encoding="utf-8")
         assert main(["compare", str(lit)]) == 2
         assert "windowps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "literature file must be an object with an 'entries' list"),
+        ([], "literature file must be an object with an 'entries' list"),
+        ({"entries": {}}, "'entries' must be a list"),
+    ], ids=["no-entries", "not-an-object", "entries-not-a-list"])
+    def test_rejects_malformed_literature_file(self, tmp_path, capsys, doc, message):
+        lit = tmp_path / "bad.json"
+        lit.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["compare", str(lit)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     # Range checks come from PhysicalParams and SimConfig; the CLI itself
     # checks only the metric name, the range's shape and low <= high.
@@ -438,8 +515,10 @@ class TestTomographyCommand:
         assert "--max-iterations" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--poisson", "--n-per-setting", str(10**20)],
-                                       ["--n-per-setting", str(10**400)]],
-                             ids=["poisson-1e20", "rounded-1e400"])
+                                       ["--n-per-setting", str(10**400)],
+                                       ["--n-per-setting", "0"],
+                                       ["--n-per-setting", "-5"]],
+                             ids=["poisson-1e20", "rounded-1e400", "zero", "negative"])
     def test_rejects_a_budget_the_draw_cannot_hold(self, tmp_path, capsys, flags):
         spec = write_spec(tmp_path)
         assert main(["tomography", str(spec), *flags]) == 2
@@ -485,6 +564,7 @@ class TestNumberInputs:
         ("params", "s_ueV", "null"),
         ("config", "seed", "null"),
         ("config", "quadrature", "null"),
+        ("config", "seed", '"abc"'),
     ])
     def test_run_spec_value_rejected(self, tmp_path, capsys, section, key, token):
         doc = {

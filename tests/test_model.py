@@ -16,6 +16,7 @@ from conftest import (
     closed_form_phase_average,
     concurrence,
     concurrence_pure,
+    correlation_visibilities,
     exciton_eigensystem,
     fidelity_phi_plus,
     fixed_shift_rho,
@@ -28,7 +29,7 @@ from conftest import (
     two_photon_state,
 )
 from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix
-from qdcascade.metrics import PHI_PLUS
+from qdcascade.metrics import PHI_PLUS, metrics_from_rho
 from qdcascade.model import (
     PhysicalParams,
     SimConfig,
@@ -49,7 +50,12 @@ from qdcascade.model import (
     _philox,
     _rho_from_moments,
 )
-from qdcascade.tomography import CountRecord, simulate_counts, standard_settings
+from qdcascade.tomography import (
+    CountRecord,
+    fidelity_from_visibilities,
+    simulate_counts,
+    standard_settings,
+)
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -375,14 +381,22 @@ class TestMomentAverage:
         sigma=st.floats(0.0, 5.0),
         window=st.one_of(st.none(), st.floats(1e-4, 1e5)),
         quadrature=st.sampled_from(["monte_carlo", "gauss_hermite"]),
+        k=st.floats(1e-6, 1.0),
     )
-    def test_states_are_physical(self, s, sigma, window, quadrature):
-        params = PhysicalParams(s=s, t1=430.0, sigma=sigma, k=1.0)
+    def test_states_are_physical(self, s, sigma, window, quadrature, k):
+        params = PhysicalParams(s=s, t1=430.0, sigma=sigma, k=k)
         rho = monte_carlo_rho(params, SimConfig(n_samples=5_000, seed=13, window=window,
                                                 quadrature=quadrature))
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.array_equal(rho, rho.conj().T)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        mixed = apply_multipair_mixing(rho, params.k)
+        m = metrics_from_rho(mixed)
+        assert 0.0 <= m.fidelity <= 1.0
+        assert 0.25 - 1e-12 <= m.purity <= 1.0 + 1e-12
+        assert 0.0 <= m.concurrence <= 1.0 + 1e-12
+        from_visibilities = fidelity_from_visibilities(*correlation_visibilities(mixed))
+        assert abs(from_visibilities - m.fidelity) <= 1e-12
 
 
 def reference_moments(s, shifts, t1, window, weights):
@@ -650,9 +664,11 @@ class TestConversions:
         assert sigma_from_t2star(np.inf) == 0.0
 
     def test_coherence_loss_values(self):
-        assert abs(coherence_loss(230.0, 2.6) - 0.0078) < 1e-5
-        assert abs(coherence_loss(420.0, 1.7) - 0.0592) < 1e-4
-        assert coherence_loss(1e-9, 1.7) < 1e-12
+        assert abs(coherence_loss(PhysicalParams(s=0.0, t1=230.0, t2_star=2.6, k=1.0))
+                   - 0.0078) < 1e-5
+        assert abs(coherence_loss(PhysicalParams(s=0.0, t1=420.0, t2_star=1.7, k=1.0))
+                   - 0.0592) < 1e-4
+        assert coherence_loss(PhysicalParams(s=0.0, t1=1e-9, t2_star=1.7, k=1.0)) < 1e-12
 
 
 class TestAnalyticFidelity:
@@ -669,12 +685,34 @@ class TestAnalyticFidelity:
         assert abs(analytic_fidelity(params) - 0.8148) < 1e-4
 
 
+def _params(**inputs):
+    """The reference dot with some inputs replaced; None drops an input."""
+    kwargs = {"s": 0.4, "t1": 430.0, "sigma": 0.41, "k": 0.99, **inputs}
+    return PhysicalParams(**{key: value for key, value in kwargs.items() if value is not None})
+
+
 class TestPublicInputChecks:
     # n and start count samples; a float or a bool is not a count.
     @pytest.mark.parametrize("call, message", [
         (lambda: overhauser_samples(1, 2.5), "n must be an integer"),
         (lambda: overhauser_samples(1, True), "n must be an integer"),
         (lambda: overhauser_samples(1, 4, 1.5), "start must be an integer"),
+        (lambda: overhauser_samples(1, 0), "n must be >= 1"),
+        (lambda: overhauser_samples(1, 4, -1), "start must be >= 0"),
+        (lambda: k_from_g2(-0.1, 0.0, 0.7), "g2_xx must lie in"),
+        (lambda: k_from_g2(0.0, 1.5, 0.7), "g2_x must lie in"),
+        (lambda: k_from_g2(0.0, 0.0, 0.0), "eta_p must lie in"),
+        (lambda: k_from_g2(0.0, 0.0, 1.5), "eta_p must lie in"),
+        (lambda: _params(sigma=-0.1), "sigma must be >= 0"),
+        (lambda: _params(k=None), "provide k, or all of g2_xx, g2_x and eta_p"),
+        (lambda: _params(k=0.0), r"k must lie in \(0, 1\]"),
+        (lambda: _params(k=1.5), r"k must lie in \(0, 1\]"),
+        (lambda: _params(t1_xx=0.0), "t1_xx must be > 0"),
+        (lambda: _params(tau_s=-1.0), "tau_s must be > 0"),
+        (lambda: _params(k=None, g2_xx=0.009, eta_p=0.7), "^g2_x is missing"),
+        (lambda: _params(g2_xx=0.009, g2_x=0.002), "^eta_p is missing"),
+        (lambda: _params(g2_xx=0.009, g2_x=0.002, eta_p=0.7),
+         r"^k=0.99 disagrees with k from g2_xx, g2_x and eta_p = 0.996150$"),
     ])
     def test_rejects_non_finite_and_non_positive(self, call, message):
         with warnings.catch_warnings():
@@ -692,7 +730,7 @@ _BOOL_INPUTS = {
                                                          g2_xx=0.0, g2_x=0.0, eta_p=value),
     "sigma_from_t2star": lambda value: sigma_from_t2star(value),
     "k_from_g2": lambda value: k_from_g2(0.0, 0.0, value),
-    "coherence_loss": lambda value: coherence_loss(value, 1.7),
+    "PhysicalParams.t1": lambda value: PhysicalParams(s=0.4, t1=value, sigma=0.41, k=0.99),
     "simulate_counts": lambda value: simulate_counts(np.eye(4) / 4.0,
                                                      standard_settings("six_basis"), value),
     "CountRecord": lambda value: CountRecord(standard_settings("six_basis")[0], 5, value),
@@ -723,6 +761,33 @@ class TestPhysicalParams:
     def test_rejects_conflicting_k_inputs(self):
         with pytest.raises(ValueError):
             PhysicalParams(s=0.0, t1=230.0, sigma=0.25, k=0.9, g2_xx=0.01, g2_x=0.01, eta_p=0.7)
+
+    def test_accepts_k_that_agrees_with_g2(self):
+        implied = k_from_g2(0.009, 0.002, 0.70)
+        for k in (implied, implied + 0.9e-6, 0.99615):
+            params = PhysicalParams(s=0.0, t1=230.0, sigma=0.25, k=k,
+                                    g2_xx=0.009, g2_x=0.002, eta_p=0.70)
+            assert params.k == k
+
+    # A params keeps both forms of sigma and of k, and they agree, so replace
+    # works from every input form.
+    @pytest.mark.parametrize("inputs", [
+        {"sigma": 0.41, "k": 0.99},
+        {"t2_star": 1.6, "k": 0.99},
+        {"sigma": 0.41, "g2_xx": 0.009, "g2_x": 0.002, "eta_p": 0.7},
+        {"t2_star": 1.6, "g2_xx": 0.009, "g2_x": 0.002, "eta_p": 0.7},
+    ], ids=["sigma-k", "t2star-k", "sigma-g2", "t2star-g2"])
+    def test_replace_round_trip(self, inputs):
+        params = PhysicalParams(s=0.4, t1=430.0, **inputs)
+        assert replace(params, s=0.5) == PhysicalParams(s=0.5, t1=430.0, **inputs)
+        assert replace(params) == params
+
+    def test_replace_t2star(self):
+        params = PhysicalParams(s=0.4, t1=430.0, t2_star=1.6, k=0.99)
+        assert (replace(params, sigma=None, t2_star=2.0)
+                == PhysicalParams(s=0.4, t1=430.0, t2_star=2.0, k=0.99))
+        with pytest.raises(ValueError, match="disagrees with hbar/T2"):
+            replace(params, t2_star=2.0)
 
     def test_requires_some_noise_input(self):
         with pytest.raises(ValueError):

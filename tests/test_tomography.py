@@ -269,6 +269,12 @@ class TestMLEReconstruct:
         with pytest.raises(InsufficientSettingsError):
             mle_reconstruct(records)
 
+    @pytest.mark.parametrize("n", [0, 1, 6, 15])
+    def test_rejects_fewer_than_16_records(self, n):
+        records = simulate_counts(PHI_PLUS_RHO, standard_settings("sixteen_basis"), 1000)[:n]
+        with pytest.raises(InsufficientSettingsError, match=f"got {n} records"):
+            mle_reconstruct(records)
+
     def test_rejects_degenerate_projector_set(self):
         setting = BasisSetting("HH")
         records = [CountRecord(setting, 100) for _ in range(16)]
