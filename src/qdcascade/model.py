@@ -293,70 +293,38 @@ def _phase_average(energy: np.ndarray, t1: float, window: float | None, re_g: np
     np.divide(im_g, b, out=im_g)
 
 
-# The averaged state is linear in ten moments of the shift distribution.
-# With E = sqrt(s^2/4 + h^2), x = s/(2E) and y = h/E (x = 1, y = 0 at the
-# degenerate point s = h = 0), the gauge-invariant pair vectors through the
-# upper and lower exciton branch are u = P_u m and v = P_v m with
-# m = ((1+x)/2, y/2, (1-x)/2). Since y^2 = 1 - x^2, every entry of m m^T is
-# a combination of (1, x, x^2, y, xy), listed here per moment.
-_PAIR_UPPER = np.array([[1, 0, 0], [0, -1j, 0], [0, 1j, 0], [0, 0, 1]])
-_PAIR_LOWER = np.array([[0, 0, 1], [0, 1j, 0], [0, -1j, 0], [1, 0, 0]])
-_MOMENT_OUTER = np.zeros((5, 3, 3))
-for (_a, _b), _coef in {
-    (0, 0): (1, 2, 1, 0, 0),
-    (0, 1): (0, 0, 0, 1, 1),
-    (0, 2): (1, 0, -1, 0, 0),
-    (1, 1): (1, 0, -1, 0, 0),
-    (1, 2): (0, 0, 0, 1, -1),
-    (2, 2): (1, -2, 1, 0, 0),
-}.items():
-    _MOMENT_OUTER[:, _a, _b] = _MOMENT_OUTER[:, _b, _a] = np.array(_coef) / 4.0
-
-
-def _moment_map() -> np.ndarray:
-    """(16, 10) map from (real moments, complex moments) to rho before its
-    Hermitian part is taken: 0.5 (uu + vv) from <1, x, x^2, y, xy> and the
-    coherence u v^dag from <g {1, x, x^2, y, xy}>."""
-    def sandwich(left, right):
-        return np.einsum("ia,kab,jb->kij", left, _MOMENT_OUTER, right.conj()).reshape(5, 16)
-
-    populations = 0.5 * (sandwich(_PAIR_UPPER, _PAIR_UPPER) + sandwich(_PAIR_LOWER, _PAIR_LOWER))
-    return np.concatenate([populations, sandwich(_PAIR_UPPER, _PAIR_LOWER)]).T.copy()
-
-
-_RHO_FROM_MOMENTS = _moment_map()
-
 # Monte Carlo sums run over fixed chunks of the sample stream, so memory is
 # bounded for any n_samples. Part of the determinism contract: changing it
 # changes the summation order and with it the last bits of every output.
 CHUNK_SAMPLES = 65_536
 
 # Rows of the _moments workspace: x, y and the energy E in rows 5-7, Re g
-# and Im g in rows 10-11, and the windowed phase average's scratch in rows
-# 0-2. Then the five basis rows 0-4 and, over rows 5-9, the basis times
-# Re g (windowed) or the weighted E and h (unwindowed).
-_WORK_ROWS = 12
+# and Im g in rows 8-9, and the windowed phase average's scratch in rows
+# 0-2. Then the eight summed rows 0-7 (seven without a window).
+_WORK_ROWS = 10
 
 
 def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
-             weights, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sums over shifts of (1, x, x^2, y, xy) and of g times each.
+             weights, work: np.ndarray | None = None) -> np.ndarray:
+    """The eight weighted sums over shifts that the averaged state reads:
+    <1>, <x^2>, <xy>, <Re g>, <Re g x^2>, <Re g xy>, <Im g x> and <Im g y>.
 
-    g is the emission phase average at the exciton splitting 2E, written
-    by :func:`_phase_average` into two float rows. weights is an array
-    matching shifts or a scalar. Every per-sample intermediate is written
-    into work[:, :n], a C-contiguous float64 array of _WORK_ROWS rows and
-    at least n = shifts.size columns: 12 x 65,536 x 8 B = 6 MiB at the
-    Monte Carlo chunk size; no per-sample array is complex. The Monte
-    Carlo engine passes one for all its chunks; without one the call makes
-    its own of width n. Per-sample arrays are reduced with ufunc sums
-    rather than matrix products, which would hand them to a multi-threaded
-    BLAS.
+    With E = sqrt(s^2/4 + h^2), x = s/(2E) and y = h/E (x = 1, y = 0 at the
+    degenerate point s = h = 0); g is the emission phase average at the
+    exciton splitting 2E, written by :func:`_phase_average` into two float
+    rows. weights is an array matching shifts or a scalar. Every per-sample
+    intermediate is written into work[:, :n], a C-contiguous float64 array
+    of _WORK_ROWS rows and at least n = shifts.size columns:
+    10 x 65,536 x 8 B = 5 MiB at the Monte Carlo chunk size; no per-sample
+    array is complex. The Monte Carlo engine passes one for all its chunks;
+    without one the call makes its own of width n. The sums are one ufunc
+    sum over a contiguous block of rows rather than a matrix product, which
+    would hand them to a multi-threaded BLAS.
 
-    Without a window, Im g = -w Re g with w = 2 E T1/hbar. With E x = s/2
-    and E y = h, the five imaginary moments follow from the Re g weighted
-    sums of (1, x, y) and of E and h, so the Im g row goes unused. With a
-    window, the basis is multiplied by Re g and by Im g.
+    Without a window, Im g = -c E Re g with c = 2 T1/hbar, and E x = s/2,
+    so <Im g x> = -c (s/2) <Re g> and <Im g y> = -c <Re g (w y) E>; the
+    Im g row goes unused. Where E overflows, w y E is 0 inf = nan, so the
+    state reports the overflow.
     """
     n = shifts.size
     if work is None:
@@ -366,42 +334,50 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     np.multiply(shifts, shifts, out=energy)
     np.add(energy, half * half, out=energy)
     np.sqrt(energy, out=energy)
-    nonzero = work[0].view(np.bool_)[:n]  # row 0 is free until the basis is filled
+    nonzero = work[0].view(np.bool_)[:n]  # row 0 is free until the weights fill it
     np.greater(energy, 0.0, out=nonzero)
     x, y = work[5, :n], work[6, :n]
     x.fill(1.0)
     np.divide(half, energy, out=x, where=nonzero)
     y.fill(0.0)
     np.divide(shifts, energy, out=y, where=nonzero)
-    re_g, im_g = work[10, :n], work[11, :n]
+    re_g, im_g = work[8, :n], work[9, :n]
     _phase_average(energy, t1, window, re_g, im_g, work[:3, :n])
-    basis = work[:5, :n]
-    basis[0] = weights
-    np.multiply(basis[0], x, out=basis[1])
-    np.multiply(basis[1], x, out=basis[2])
-    np.multiply(basis[0], y, out=basis[3])
-    np.multiply(basis[3], x, out=basis[4])
+    rows = work[:, :n]
+    rows[0] = weights
+    np.multiply(rows[0], x, out=rows[3])  # w x
+    np.multiply(rows[3], x, out=rows[1])  # w x^2
+    np.multiply(rows[0], y, out=rows[4])  # w y
+    np.multiply(rows[4], x, out=rows[2])  # w xy
     if window is None:
-        real = basis.sum(axis=1)
-        basis = work[:7, :n]
-        np.multiply(basis[0], energy, out=basis[5])
-        np.multiply(basis[0], shifts, out=basis[6])
-        np.multiply(basis, re_g, out=basis)
-        sums = basis.sum(axis=1)
-        # Im <g (1, x, x^2, y, xy)> = -scale <Re g (E, s/2, x s/2, h, y s/2)>.
-        scale = 2.0 * t1 / HBAR_UEV_PS
-        imag = sums[[5, 0, 1, 6, 3]] * np.array([-scale, -scale * half, -scale * half,
-                                                  -scale, -scale * half])
-        return real, sums[:5] + 1j * imag
-    np.multiply(basis, re_g, out=work[5:10, :n])
-    sums = work[:10, :n].sum(axis=1)  # the real moments, then the Re g ones
-    np.multiply(basis, im_g, out=basis)
-    return sums[:5], sums[5:] + 1j * basis.sum(axis=1)
+        np.multiply(rows[4], energy, out=rows[6])
+        np.multiply(rows[6], re_g, out=rows[6])
+        np.multiply(rows[:3], re_g, out=rows[3:6])
+        sums = rows[:7].sum(axis=1)
+        c = 2.0 * t1 / HBAR_UEV_PS
+        return np.append(sums[:6], (-c * half * sums[3], -c * sums[6]))
+    np.multiply(rows[3], im_g, out=rows[6])
+    np.multiply(rows[4], im_g, out=rows[7])
+    np.multiply(rows[:3], re_g, out=rows[3:6])
+    return rows[:8].sum(axis=1)
 
 
-def _rho_from_moments(real: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    rho = (_RHO_FROM_MOMENTS @ np.concatenate([real, cross])).reshape(4, 4)
-    return 0.5 * (rho + rho.conj().T)
+def _rho_from_moments(m: np.ndarray) -> np.ndarray:
+    """The averaged state [[a, f, -f, d], [f*, b, -b, f], [-f*, -b, b, -f],
+    [d*, f*, -f*, a]] in HH, HV, VH, VV order, from the eight sums of
+    :func:`_moments`. Its Bell fidelity is a + Re d = (<1> + <Re g>)/2.
+
+    This is 0.5 (u u^dag + v v^dag + g u v^dag + h.c.) summed over shifts,
+    with the pair vectors u, v through the upper and lower exciton branch
+    (see :func:`monte_carlo_rho`) written out in x and y.
+    """
+    one, x2, xy, re_g, re_g_x2, re_g_xy, im_g_x, im_g_y = m.tolist()
+    a = 0.25 * (one + x2 + re_g - re_g_x2)
+    b = 0.25 * (one - x2 - re_g + re_g_x2)
+    d = complex(0.25 * (one - x2 + re_g + re_g_x2), 0.5 * im_g_x)
+    f = complex(0.25 * im_g_y, 0.25 * (xy - re_g_xy))
+    fc, dc = f.conjugate(), d.conjugate()
+    return np.array([[a, f, -f, d], [fc, b, -b, f], [-fc, -b, b, -f], [dc, fc, -fc, a]])
 
 
 def overhauser_samples(seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -456,14 +432,14 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
 
     Averages the emission-time averaged state at one Overhauser shift over
     shifts drawn from N(0, sigma). The state is a constant linear map of
-    ten moments of the shifts (see :func:`_moments`), so only those
-    moments are averaged. Monte Carlo mode adds them up over fixed chunks
-    of :data:`CHUNK_SAMPLES` draws of the counter-based sampler: memory
-    does not grow with n_samples, and the output is bitwise deterministic
-    for a given (seed, n_samples). gauss_hermite mode integrates the same
-    Gaussian with deterministic quadrature nodes, as one chunk. The
-    multi-pair mixing channel is not applied here, see
-    :func:`apply_multipair_mixing`.
+    eight moments of the shifts (see :func:`_moments` and
+    :func:`_rho_from_moments`), so only those moments are averaged. Monte
+    Carlo mode adds them up over fixed chunks of :data:`CHUNK_SAMPLES`
+    draws of the counter-based sampler: memory does not grow with
+    n_samples, and the output is bitwise deterministic for a given (seed,
+    n_samples). gauss_hermite mode integrates the same Gaussian with
+    deterministic quadrature nodes, as one chunk. The multi-pair mixing
+    channel is not applied here, see :func:`apply_multipair_mixing`.
 
     This is the one-point case of :func:`monte_carlo_rhos`, which draws
     each chunk's standard normals once and scales them by sigma; a point
@@ -487,10 +463,11 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     uses the cached nodes. The Monte Carlo points must share seed and
     n_samples, so they share one sampler stream: each chunk of standard
     normals z = ndtri(u) is drawn once, and each point in turn adds the
-    moments of its shifts sigma * z. Only one chunk of normals is held at a
-    time, and every point's moments are computed in one float64 workspace
-    made per call: _WORK_ROWS + 1 = 13 rows of up to CHUNK_SAMPLES columns,
-    13 x 65,536 x 8 B = 6.5 MiB, the last row holding the scaled shifts.
+    eight moments of its shifts sigma * z to one float (points, 8) array.
+    Only one chunk of normals is held at a time, and every point's moments
+    are computed in one float64 workspace made per call: _WORK_ROWS + 1 =
+    11 rows of up to CHUNK_SAMPLES columns, 11 x 65,536 x 8 B = 5.5 MiB,
+    the last row holding the scaled shifts.
     """
     points = list(points)
     rhos = [None] * len(points)
@@ -505,7 +482,7 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
         else:
             sampled.append(i)
             continue
-        rhos[i] = _rho_from_moments(*_moments(params.s, shifts, params.t1, config.window, weights))
+        rhos[i] = _rho_from_moments(_moments(params.s, shifts, params.t1, config.window, weights))
     if not sampled:
         return rhos
     streams = {(points[i][1].seed, points[i][1].n_samples) for i in sampled}
@@ -513,8 +490,7 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
         raise ValueError("Monte Carlo points must share seed and n_samples, got "
                          f"{sorted(streams)}")
     ((seed, n),) = streams
-    real = np.zeros((len(sampled), 5))
-    cross = np.zeros((len(sampled), 5), dtype=complex)
+    sums = np.zeros((len(sampled), 8))
     work = np.empty((_WORK_ROWS + 1, min(n, CHUNK_SAMPLES)))
     kernel_work, shift_row = work[:_WORK_ROWS], work[_WORK_ROWS]
     for start in range(0, n, CHUNK_SAMPLES):
@@ -523,18 +499,16 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
         for j, i in enumerate(sampled):
             params, config = points[i]
             np.multiply(params.sigma, normals, out=shifts)
-            chunk_real, chunk_cross = _moments(params.s, shifts, params.t1, config.window,
-                                               1.0, kernel_work)
-            real[j] += chunk_real
-            cross[j] += chunk_cross
+            sums[j] += _moments(params.s, shifts, params.t1, config.window, 1.0, kernel_work)
     for j, i in enumerate(sampled):
-        rhos[i] = _rho_from_moments(real[j] / n, cross[j] / n)
+        rhos[i] = _rho_from_moments(sums[j] / n)
     return rhos
 
 
 def apply_multipair_mixing(rho, k: float) -> np.ndarray:
     """Mix with the maximally mixed state: k rho + (1 - k)/4 I."""
     rho = assert_density_matrix(rho)
+    _reject_bools(k=k)
     if not 0.0 < k <= 1.0:
         raise ValueError("k must lie in (0, 1]")
     return k * rho + (1.0 - k) * 0.25 * IDENTITY_4

@@ -163,6 +163,7 @@ def fidelity_from_visibilities(c_hv: float, c_da: float, c_rl: float) -> float:
     state, the expectation values of sz(x)sz, sx(x)sx and sy(x)sy that the
     co/cross count ratios estimate; clamped to [0, 1].
     """
+    _reject_bools(c_hv=c_hv, c_da=c_da, c_rl=c_rl)
     for name, value in (("c_hv", c_hv), ("c_da", c_da), ("c_rl", c_rl)):
         if not -1.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [-1, 1]")

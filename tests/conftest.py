@@ -208,7 +208,7 @@ def phase_average(delta, t1: float, window=None) -> np.ndarray:
 def fixed_shift_rho(s: float, h_z: float, t1: float, window=None) -> np.ndarray:
     """The package's state at one Overhauser shift, averaged over emission
     times: the one-shift, unit-weight call of the moment kernel."""
-    return _rho_from_moments(*_moments(s, np.array([float(h_z)]), t1, window, 1.0))
+    return _rho_from_moments(_moments(s, np.array([float(h_z)]), t1, window, 1.0))
 
 
 def concurrence_pure(psi) -> float:

@@ -19,6 +19,8 @@ REMOVED = (
     "_check_t1_window", "_check_finite", "_check_positive",
     # Second entries beside metrics_from_rho, and a wrapper of np.kron.
     "fidelity_phi_plus", "purity", "concurrence", "_fidelity_phi_plus", "_purity", "tensor",
+    # The derived moment map; _rho_from_moments writes the state out.
+    "_PAIR_UPPER", "_PAIR_LOWER", "_MOMENT_OUTER", "_moment_map", "_RHO_FROM_MOMENTS",
 )
 
 

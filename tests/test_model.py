@@ -346,7 +346,7 @@ class TestMomentAverage:
         shifts = np.concatenate([[0.0], rng.normal(scale=rng.uniform(0.05, 2.0), size=999)])
         weights = rng.uniform(size=shifts.size)
         weights /= weights.sum()
-        moment = _rho_from_moments(*_moments(s, shifts, 430.0, window, weights))
+        moment = _rho_from_moments(_moments(s, shifts, 430.0, window, weights))
         assert np.abs(moment - outer_product_rho(s, shifts, 430.0, window, weights)).max() <= 1e-13
 
     def test_single_shift_matches_oracle(self):
@@ -360,8 +360,8 @@ class TestMomentAverage:
         params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=1.0)
         config = SimConfig(n_samples=n, seed=2024, window=350.0)
         shifts = params.sigma * overhauser_samples(config.seed, n)
-        whole = _rho_from_moments(*_moments(params.s, shifts, params.t1, config.window,
-                                            np.full(n, 1.0 / n)))
+        whole = _rho_from_moments(_moments(params.s, shifts, params.t1, config.window,
+                                           np.full(n, 1.0 / n)))
         assert np.abs(monte_carlo_rho(params, config) - whole).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [200_000, 2_000_000])
@@ -398,24 +398,42 @@ class TestMomentAverage:
         from_visibilities = fidelity_from_visibilities(*correlation_visibilities(mixed))
         assert abs(from_visibilities - m.fidelity) <= 1e-12
 
+    @hypothesis_settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        s=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        sigma=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+        t1=st.floats(20.0, 3000.0),
+        window=st.one_of(st.none(), st.floats(1e-4, 1e5)),
+        quadrature=st.sampled_from(["monte_carlo", "gauss_hermite"]),
+    )
+    def test_fidelity_reads_two_moments(self, s, sigma, t1, window, quadrature):
+        # Before mixing, F = a + Re d = (<1> + <Re g>)/2 for any shift set.
+        params = PhysicalParams(s=s, t1=t1, sigma=sigma, k=1.0)
+        config = SimConfig(n_samples=3_000, seed=17, window=window, quadrature=quadrature)
+        if quadrature == "gauss_hermite":
+            nodes, weights = _hermgauss(config.gh_order)
+            m = _moments(s, np.sqrt(2.0) * sigma * nodes, t1, window, weights / np.sqrt(np.pi))
+        else:
+            m = per_point_moments(params, config)
+        fidelity = metrics_from_rho(_rho_from_moments(m)).fidelity
+        assert abs(fidelity - 0.5 * (m[0] + m[3])) <= 1e-15
+
 
 def reference_moments(s, shifts, t1, window, weights):
-    """The moment sums with g from the kernel's phase average: per-call arrays,
-    one pairwise sum per product row of the basis with Re g and Im g."""
+    """The eight moment sums with g from the kernel's phase average: per-call
+    arrays, one pairwise sum per row of w (1, x^2, xy), of those times Re g
+    and of w (x, y) times Im g."""
     half = 0.5 * s
     energy = np.sqrt(half * half + shifts * shifts)
     nonzero = energy > 0.0
     x = np.divide(half, energy, out=np.ones_like(energy), where=nonzero)
     y = np.divide(shifts, energy, out=np.zeros_like(energy), where=nonzero)
     g = phase_average(2.0 * energy, t1, window)
-    basis = np.empty((5, shifts.size))
-    basis[0] = weights
-    np.multiply(basis[0], x, out=basis[1])
-    np.multiply(basis[1], x, out=basis[2])
-    np.multiply(basis[0], y, out=basis[3])
-    np.multiply(basis[3], x, out=basis[4])
-    cross = (basis * g.real).sum(axis=1) + 1j * (basis * g.imag).sum(axis=1)
-    return basis.sum(axis=1), cross
+    w = np.broadcast_to(weights, shifts.shape)
+    wx, wy = w * x, w * y
+    basis = np.stack([w, wx * x, wy * x])
+    imag = np.stack([wx, wy]) * g.imag
+    return np.concatenate([basis.sum(axis=1), (basis * g.real).sum(axis=1), imag.sum(axis=1)])
 
 
 class TestMomentKernel:
@@ -438,8 +456,7 @@ class TestMomentKernel:
             for w in (1.0, weights):
                 used = _moments(s, shifts, 430.0, window, w, work)
                 fresh = _moments(s, shifts, 430.0, window, w)
-                assert used[0].tobytes() == fresh[0].tobytes()
-                assert used[1].tobytes() == fresh[1].tobytes()
+                assert used.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("window", WINDOWS[1:])
     @pytest.mark.parametrize("s", [0.0, 0.4, 3.0])
@@ -448,10 +465,8 @@ class TestMomentKernel:
         # lays out its rows and sums the products like the per-call reference.
         for shifts in self.chunks():
             for w in (1.0, np.linspace(0.5, 1.5, shifts.size)):
-                real, cross = _moments(s, shifts, 430.0, window, w)
-                ref_real, ref_cross = reference_moments(s, shifts, 430.0, window, w)
-                assert real.tobytes() == ref_real.tobytes()
-                assert cross.tobytes() == ref_cross.tobytes()
+                moments = _moments(s, shifts, 430.0, window, w)
+                assert moments.tobytes() == reference_moments(s, shifts, 430.0, window, w).tobytes()
 
     @hypothesis_settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -472,10 +487,12 @@ class TestMomentKernel:
             nodes, gh_weights = _hermgauss(order)
             shifts = np.sqrt(2.0) * sigma * nodes
             weights = gh_weights / np.sqrt(np.pi)
-        real, cross = _moments(s, shifts, t1, None, weights)
-        ref_real, ref_cross = reference_moments(s, shifts, t1, None, weights)
-        assert real.tobytes() == ref_real.tobytes()
-        assert np.abs(cross - ref_cross).max() <= 1e-15 * weights.sum()
+        # The six sums that do not read Im g share every operation with the
+        # reference; the two Im g sums come from Im g = -c E Re g.
+        moments = _moments(s, shifts, t1, None, weights)
+        reference = reference_moments(s, shifts, t1, None, weights)
+        assert moments[:6].tobytes() == reference[:6].tobytes()
+        assert np.abs(moments[6:] - reference[6:]).max() <= 1e-15 * weights.sum()
 
 
 class TestMonteCarloRho:
@@ -519,8 +536,8 @@ class TestMonteCarloRho:
             weights[0] = 0.0
         fresh_nodes, fresh_weights = np.polynomial.hermite.hermgauss(24)
         assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
-        uncached = _rho_from_moments(*_moments(0.6, np.sqrt(2.0) * 0.5 * fresh_nodes, 430.0,
-                                               None, fresh_weights / np.sqrt(np.pi)))
+        uncached = _rho_from_moments(_moments(0.6, np.sqrt(2.0) * 0.5 * fresh_nodes, 430.0,
+                                              None, fresh_weights / np.sqrt(np.pi)))
         assert np.array_equal(first, uncached)
         assert np.array_equal(monte_carlo_rho(params, config), first)
 
@@ -543,19 +560,15 @@ class TestMonteCarloRho:
             assert np.all(np.diff(values) <= 1e-12)
 
 
-def per_point_rho(params, config):
+def per_point_moments(params, config):
     """The per-point Monte Carlo loop: each point draws its own shifts
-    sigma * ndtri(u), chunk by chunk, and sums their moments."""
-    real = np.zeros(5)
-    cross = np.zeros(5, dtype=complex)
+    sigma * ndtri(u), chunk by chunk, and averages their moments."""
+    sums = np.zeros(8)
     n = config.n_samples
     for start in range(0, n, CHUNK_SAMPLES):
         normals = overhauser_samples(config.seed, min(CHUNK_SAMPLES, n - start), start)
-        shifts = params.sigma * normals
-        chunk_real, chunk_cross = _moments(params.s, shifts, params.t1, config.window, 1.0)
-        real += chunk_real
-        cross += chunk_cross
-    return _rho_from_moments(real / n, cross / n)
+        sums += _moments(params.s, params.sigma * normals, params.t1, config.window, 1.0)
+    return sums / n
 
 
 class TestMonteCarloRhos:
@@ -587,7 +600,7 @@ class TestMonteCarloRhos:
         for (params, config), rho in zip(points, rhos):
             assert rho.tobytes() == monte_carlo_rho(params, config).tobytes()
             if params.sigma > 0 and config.quadrature == "monte_carlo":
-                assert rho.tobytes() == per_point_rho(params, config).tobytes()
+                assert rho.tobytes() == _rho_from_moments(per_point_moments(params, config)).tobytes()
 
     def test_empty(self):
         assert monte_carlo_rhos([]) == []
@@ -734,6 +747,8 @@ _BOOL_INPUTS = {
     "simulate_counts": lambda value: simulate_counts(np.eye(4) / 4.0,
                                                      standard_settings("six_basis"), value),
     "CountRecord": lambda value: CountRecord(standard_settings("six_basis")[0], 5, value),
+    "apply_multipair_mixing": lambda value: apply_multipair_mixing(np.eye(4) / 4.0, value),
+    "fidelity_from_visibilities": lambda value: fidelity_from_visibilities(0.9, 0.9, value),
 }
 
 
