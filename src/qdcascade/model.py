@@ -242,55 +242,44 @@ def _phase_average(energy: np.ndarray, t1: float, window: float | None, re_g: np
     exp(-t/T1)/T1, truncated to [0, window] and renormalized when a window
     is given, at the splitting delta = 2E of each entry E of energy (ueV).
     re_g and im_g are float rows of its size, scratch holds three more,
-    used only with a window, and energy is not written. Real arithmetic only:
+    used only with a window, and energy is not written. Real arithmetic only.
 
-    - No window: g = 1/(1 + i w) with w = delta T1/hbar = E (2 T1/hbar), so
-      Re g = 1/(1 + w^2) and Im g = -w Re g.
-    - Window W: g = (expm1(-x)/x) / (expm1(-a)/a) with x = a + i b,
-      a = W/T1 and b = delta W/hbar = E (2 W/hbar). a is one scalar, so
-      (a/expm1(-a)) expm1(-x) = nr + i ni with nr = a - 2 damp sin^2(b/2),
-      ni = -damp sin b and damp = exp(-a) a/expm1(-a) < 0. The terms of nr
-      share a sign, so there is no cancellation at small a or b. Then
-      g = (nr + i ni)(a - i b)/(a^2 + b^2).
-
-    Both sines come from one half-angle tangent t = tan(b/2):
-    sin^2(b/2) = t^2/(1 + t^2) and sin b = 2t/(1 + t^2), so the windowed
-    branch makes one transcendental ufunc call. Near a pole of tan the two
-    forms tend to 1 and 0; a double lies at least ~4.7e-19 from any pole,
-    so |t| stays below ~1e19 and t^2 finite.
+    Over all delays g0 = 1/(1 + i w) with w = delta T1/hbar = E (2 T1/hbar).
+    A window W multiplies it by 1 + kappa (1 - exp(-i b)), with kappa =
+    1/expm1(W/T1) and b = delta W/hbar. With t = tan(b/2) and Q = kappa sin b
+    = 2 kappa t/(1 + t^2), Re g = Re g0 + Q (t Re g0 - Im g0) and Im g =
+    Im g0 + Q (Re g0 + t Im g0): one transcendental call. A double lies at
+    least ~4.7e-19 from a pole of tan, so |t| < ~1e19 and t^2 is finite.
+    kappa = exp(-a)/(-expm1(-a)), a = W/T1, is 0 once exp(-a) underflows;
+    the factor is then 1 and skipped, so g is g0 byte for byte even where b
+    overflows. kappa is inf where a underflows to 0 or 2 kappa overflows,
+    and the state is then non-finite.
     """
-    if window is None:
-        minus_w = im_g
-        np.multiply(energy, -2.0 * (t1 / HBAR_UEV_PS), out=minus_w)
-        np.multiply(minus_w, minus_w, out=re_g)
-        np.add(re_g, 1.0, out=re_g)
-        np.reciprocal(re_g, out=re_g)
-        np.multiply(minus_w, re_g, out=im_g)
+    np.multiply(energy, -2.0 * (t1 / HBAR_UEV_PS), out=im_g)  # -w
+    np.multiply(im_g, im_g, out=re_g)
+    np.add(re_g, 1.0, out=re_g)
+    np.reciprocal(re_g, out=re_g)
+    np.multiply(im_g, re_g, out=im_g)
+    decay = 0.0 if window is None else math.exp(-window / t1)
+    if decay == 0.0:
         return
     a = window / t1
-    damp = math.exp(-a) * (a / math.expm1(-a))
-    b, nr, ni = scratch[0], scratch[1], scratch[2]
-    np.multiply(energy, 2.0 * (window / HBAR_UEV_PS), out=b)
-    tan_half = nr
-    np.multiply(0.5, b, out=tan_half)
-    np.tan(tan_half, out=tan_half)
-    np.multiply(tan_half, tan_half, out=ni)
-    np.add(ni, 1.0, out=ni)
-    np.divide(tan_half, ni, out=ni)  # t/(1 + t^2) = sin(b)/2
-    np.multiply(tan_half, ni, out=nr)  # t^2/(1 + t^2) = sin^2(b/2)
-    np.multiply(2.0 * damp, nr, out=nr)
-    np.subtract(a, nr, out=nr)
-    np.multiply(ni, -2.0 * damp, out=ni)
-    np.multiply(nr, a, out=re_g)
-    np.multiply(ni, b, out=im_g)
-    np.add(re_g, im_g, out=re_g)
-    np.multiply(ni, a, out=im_g)
-    np.multiply(nr, b, out=nr)
-    np.subtract(im_g, nr, out=im_g)
-    np.multiply(b, b, out=b)
-    np.add(b, a * a, out=b)
-    np.divide(re_g, b, out=re_g)
-    np.divide(im_g, b, out=im_g)
+    two_kappa = -2.0 * decay / math.expm1(-a) if a else math.inf
+    t, q, u = scratch[0], scratch[1], scratch[2]
+    np.multiply(energy, window / HBAR_UEV_PS, out=t)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=q)
+    np.add(q, 1.0, out=q)
+    np.divide(t, q, out=q)
+    np.multiply(q, two_kappa, out=q)  # Q
+    np.multiply(t, im_g, out=u)
+    np.add(u, re_g, out=u)
+    np.multiply(u, q, out=u)  # Q (Re g0 + t Im g0)
+    np.multiply(t, re_g, out=t)
+    np.subtract(t, im_g, out=t)
+    np.multiply(t, q, out=t)  # Q (t Re g0 - Im g0)
+    np.add(re_g, t, out=re_g)
+    np.add(im_g, u, out=im_g)
 
 
 # Monte Carlo sums run over fixed chunks of the sample stream, so memory is
@@ -300,7 +289,7 @@ CHUNK_SAMPLES = 65_536
 
 # Rows of the _moments workspace: x, y and the energy E in rows 5-7, Re g
 # and Im g in rows 8-9, and the windowed phase average's scratch in rows
-# 0-2. Then the eight summed rows 0-7 (seven without a window).
+# 0-2. Then the eight summed rows 0-7.
 _WORK_ROWS = 10
 
 
@@ -319,12 +308,8 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     array is complex. The Monte Carlo engine passes one for all its chunks;
     without one the call makes its own of width n. The sums are one ufunc
     sum over a contiguous block of rows rather than a matrix product, which
-    would hand them to a multi-threaded BLAS.
-
-    Without a window, Im g = -c E Re g with c = 2 T1/hbar, and E x = s/2,
-    so <Im g x> = -c (s/2) <Re g> and <Im g y> = -c <Re g (w y) E>; the
-    Im g row goes unused. Where E overflows, w y E is 0 inf = nan, so the
-    state reports the overflow.
+    would hand them to a multi-threaded BLAS. Where E overflows, Im g is
+    -inf 0 = nan, so the state reports the overflow.
     """
     n = shifts.size
     if work is None:
@@ -349,13 +334,6 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     np.multiply(rows[3], x, out=rows[1])  # w x^2
     np.multiply(rows[0], y, out=rows[4])  # w y
     np.multiply(rows[4], x, out=rows[2])  # w xy
-    if window is None:
-        np.multiply(rows[4], energy, out=rows[6])
-        np.multiply(rows[6], re_g, out=rows[6])
-        np.multiply(rows[:3], re_g, out=rows[3:6])
-        sums = rows[:7].sum(axis=1)
-        c = 2.0 * t1 / HBAR_UEV_PS
-        return np.append(sums[:6], (-c * half * sums[3], -c * sums[6]))
     np.multiply(rows[3], im_g, out=rows[6])
     np.multiply(rows[4], im_g, out=rows[7])
     np.multiply(rows[:3], re_g, out=rows[3:6])

@@ -304,6 +304,20 @@ class TestWindowSweep:
         assert abs(float(tail[2]) - full.fidelity) < 1e-9
         assert abs(float(tail[3]) - full.purity) < 1e-9
 
+    def test_extreme_windows(self, tmp_path):
+        # Down to the 2 kappa overflow a window keeps the Bell state, and one
+        # with exp(-W/T1) = 0 gives the full average exactly.
+        spec = write_spec(tmp_path)
+        out = tmp_path / "windows.csv"
+        code = main(["window-sweep", str(spec), "--windows", "5e-306", "1e-300", "1e300",
+                     "1.7e308", "--quadrature", "gauss_hermite", "--out", str(out)])
+        assert code == 0
+        rows = [[float(value) for value in row[1:]] for row in read_csv(out)[1:]]
+        assert np.abs(np.array(rows[:2]) - 1.0).max() <= 1e-12
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99)
+        full = metrics_from_rho(monte_carlo_rho(params, SimConfig(quadrature="gauss_hermite")))
+        assert rows[2:] == [[full.concurrence, full.fidelity, full.purity]] * 2
+
     def test_rejects_unsorted_windows(self, tmp_path):
         spec = write_spec(tmp_path)
         assert main(["window-sweep", str(spec), "--windows", "300", "100"]) == 2
@@ -533,10 +547,10 @@ class TestNumericalFailures:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command, message", [
         (["simulate", "{huge_s}"], "non-finite"),
-        (["window-sweep", "{spec}", "--windows", "1e-300"], "non-finite"),
-        (["window-sweep", "{spec}", "--windows", "1e300"], "non-finite"),
+        (["window-sweep", "{spec}", "--windows", "1e-307"], "non-finite"),
+        (["window-sweep", "{spec}", "--windows", "1e-321"], "non-finite"),
         (["tomography", "{spec}", "--mode", "six_basis", "--n-per-setting", "1"], "zero counts"),
-    ], ids=["huge-splitting", "tiny-window", "huge-window", "one-count-per-setting"])
+    ], ids=["huge-splitting", "tiny-window", "window-over-t1-underflows", "one-count-per-setting"])
     def test_exits_3(self, tmp_path, capsys, command, message):
         paths = {
             "spec": write_spec(tmp_path),

@@ -458,7 +458,7 @@ class TestMomentKernel:
                 fresh = _moments(s, shifts, 430.0, window, w)
                 assert used.tobytes() == fresh.tobytes()
 
-    @pytest.mark.parametrize("window", WINDOWS[1:])
+    @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("s", [0.0, 0.4, 3.0])
     def test_windowed_branch_equals_reference_bytes(self, s, window):
         # Both compute g with _phase_average, so this checks that the kernel
@@ -476,7 +476,7 @@ class TestMomentKernel:
         order=st.integers(3, 64),
         sampled=st.booleans(),
     )
-    def test_unwindowed_closed_form_matches_phase_average(self, s, sigma, t1, order, sampled):
+    def test_unwindowed_sums_equal_reference_bytes(self, s, sigma, t1, order, sampled):
         # Odd Gauss-Hermite orders put a node at h = 0; the sampled shifts
         # carry an exact zero and uneven weights.
         if sampled:
@@ -487,12 +487,9 @@ class TestMomentKernel:
             nodes, gh_weights = _hermgauss(order)
             shifts = np.sqrt(2.0) * sigma * nodes
             weights = gh_weights / np.sqrt(np.pi)
-        # The six sums that do not read Im g share every operation with the
-        # reference; the two Im g sums come from Im g = -c E Re g.
+        # Without a window the kernel sums the same eight rows as with one.
         moments = _moments(s, shifts, t1, None, weights)
-        reference = reference_moments(s, shifts, t1, None, weights)
-        assert moments[:6].tobytes() == reference[:6].tobytes()
-        assert np.abs(moments[6:] - reference[6:]).max() <= 1e-15 * weights.sum()
+        assert moments.tobytes() == reference_moments(s, shifts, t1, None, weights).tobytes()
 
 
 class TestMonteCarloRho:
@@ -540,6 +537,27 @@ class TestMonteCarloRho:
                                               None, fresh_weights / np.sqrt(np.pi)))
         assert np.array_equal(first, uncached)
         assert np.array_equal(monte_carlo_rho(params, config), first)
+
+    @hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        s=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        sigma=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+        t1=st.floats(20.0, 3000.0),
+        order=st.integers(3, 64),
+        window=st.one_of(st.none(), st.floats(1e-3, 10.0), st.floats(1e3, 1e7)),
+        k=st.floats(1e-6, 1.0),
+    )
+    def test_concurrence_of_x_states(self, s, sigma, t1, order, window, k):
+        # Gauss-Hermite nodes and the sigma = 0 node are symmetric in h, so
+        # the odd moments in f cancel and the mixed state is an X state:
+        # C = 2 max(0, |d| - b, b - a) with a, b, d = rho_11, rho_22, |rho_14|.
+        params = PhysicalParams(s=s, t1=t1, sigma=sigma, k=k)
+        config = SimConfig(quadrature="gauss_hermite", gh_order=order, window=window)
+        rho = apply_multipair_mixing(monte_carlo_rho(params, config), k)
+        a, b, d = rho[0, 0].real, rho[1, 1].real, abs(rho[0, 3])
+        assert abs(rho[0, 1]) <= 1e-15
+        x_form = 2.0 * max(0.0, d - b, b - a)
+        assert abs(metrics_from_rho(rho).concurrence - x_form) <= 1e-12
 
     def test_fidelity_monotone_in_each_parameter(self):
         # same seed couples the draws, so monotonicity holds per sample
@@ -632,6 +650,46 @@ class TestMonteCarloRhos:
             tracemalloc.stop()
         assert len(rhos) == 84
         assert peak < 32 * 2**20
+
+
+class TestWindowRange:
+    # A window multiplies the full-delay average by 1 + kappa (1 - exp(-i b))
+    # with kappa = 1/expm1(W/T1): kappa is 0 once exp(-W/T1) underflows, and
+    # inf once W/T1 underflows to 0 or 2 kappa overflows (at T1 = 430 ps,
+    # W < ~4.8e-306 ps).
+    CONFIGS = {
+        "monte_carlo": SimConfig(n_samples=CHUNK_SAMPLES + 17, seed=8),
+        "gauss_hermite": SimConfig(quadrature="gauss_hermite", gh_order=33),
+    }
+
+    @staticmethod
+    def state(s, sigma, rule, window):
+        params = PhysicalParams(s=s, t1=430.0, sigma=sigma, k=1.0)
+        return monte_carlo_rho(params, replace(TestWindowRange.CONFIGS[rule], window=window))
+
+    # At s = 3e3 ueV and W = 1.7e308 ps, b = 2 E W/hbar overflows.
+    @pytest.mark.parametrize("window", [1e6, 1e300, 1.7e308])
+    @pytest.mark.parametrize("rule", ["monte_carlo", "gauss_hermite", "zero_sigma"])
+    @pytest.mark.parametrize("s", [0.0, 0.4, 3e3])
+    def test_long_window_is_the_full_average_bytes(self, s, rule, window):
+        sigma = 0.0 if rule == "zero_sigma" else 0.41
+        rule = "monte_carlo" if rule == "zero_sigma" else rule
+        full = self.state(s, sigma, rule, None)
+        assert self.state(s, sigma, rule, window).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("window", [1e-300, 5e-306])
+    @pytest.mark.parametrize("rule", ["monte_carlo", "gauss_hermite"])
+    def test_tiny_window_is_the_bell_state(self, rule, window):
+        m = metrics_from_rho(self.state(0.4, 0.41, rule, window))
+        assert max(abs(m.fidelity - 1.0), abs(m.purity - 1.0), abs(m.concurrence - 1.0)) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("window", [4e-306, 1e-307, 1e-310, 1e-321])
+    @pytest.mark.parametrize("rule", ["monte_carlo", "gauss_hermite"])
+    def test_shorter_windows_give_non_finite_states(self, rule, window):
+        # At 1e-321 ps, W/T1 is exactly 0.
+        for s in (0.0, 0.4):
+            assert not np.isfinite(self.state(s, 0.41, rule, window)).all()
 
 
 class TestMixing:
