@@ -287,10 +287,14 @@ def _phase_average(energy: np.ndarray, t1: float, window: float | None, re_g: np
 # changes the summation order and with it the last bits of every output.
 CHUNK_SAMPLES = 65_536
 
-# Rows of the _moments workspace: x, y and the energy E in rows 5-7, Re g
-# and Im g in rows 8-9, and the windowed phase average's scratch in rows
-# 0-2. Then the eight summed rows 0-7.
+# Rows of the _moments workspace. E^2 in row 7. The E-based branch takes E
+# in place there, x and y in rows 5-6, Re g and Im g in rows 8-9, the
+# phase average's scratch in rows 0-2, then the eight summed rows 0-7. The
+# E^2-only branch: the six summed rows 0-5.
 _WORK_ROWS = 10
+
+# The smallest normal double: from it up, 1/E^2 is finite.
+_TINY = np.finfo(np.float64).tiny
 
 
 def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
@@ -300,24 +304,38 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
 
     With E = sqrt(s^2/4 + h^2), x = s/(2E) and y = h/E (x = 1, y = 0 at the
     degenerate point s = h = 0); g is the emission phase average at the
-    exciton splitting 2E, written by :func:`_phase_average` into two float
-    rows. weights is an array matching shifts or a scalar. Every per-sample
-    intermediate is written into work[:, :n], a C-contiguous float64 array
-    of _WORK_ROWS rows and at least n = shifts.size columns:
-    10 x 65,536 x 8 B = 5 MiB at the Monte Carlo chunk size; no per-sample
-    array is complex. The Monte Carlo engine passes one for all its chunks;
-    without one the call makes its own of width n. The sums are one ufunc
-    sum over a contiguous block of rows rather than a matrix product, which
-    would hand them to a multi-threaded BLAS. Where E overflows, Im g is
-    -inf 0 = nan, so the state reports the overflow.
+    exciton splitting 2E. weights is an array matching shifts or a scalar.
+    Every per-sample intermediate is written into work[:, :n], a
+    C-contiguous float64 array of _WORK_ROWS rows and at least n =
+    shifts.size columns: 10 x 65,536 x 8 B = 5 MiB at the Monte Carlo chunk
+    size; no per-sample array is complex. The Monte Carlo engine passes one
+    for all its chunks; without one the call makes its own of width n. The
+    sums are one ufunc sum over a contiguous block of rows rather than a
+    matrix product, which would hand them to a multi-threaded BLAS.
+
+    Two branches. Without a window, or with one so long that exp(-W/T1) is
+    0 and the window factor is 1, g = 1/(1 + i w) needs only w^2 = c E^2,
+    c = (2 T1/hbar)^2, and the sums come from E^2 alone, see
+    :func:`_full_delay_moments`. That needs 1/E^2 and c finite, so a call
+    with E^2 below the smallest normal double anywhere (the degenerate
+    point, an h = 0 node at s = 0) or T1 above ~4.4e156 ps takes the other
+    branch. It takes the square root and writes E, x and y rows;
+    :func:`_phase_average` writes Re g and Im g from E, because a window's
+    tan(E W/hbar) needs E itself, and the kernel sums the eight rows
+    w (1, x^2, xy) (1, Re g) and w (x, y) Im g. Where E overflows there,
+    Im g is -inf 0 = nan, so the state reports the overflow.
     """
     n = shifts.size
     if work is None:
         work = np.empty((_WORK_ROWS, n))
     half = 0.5 * s
+    q = 2.0 * (t1 / HBAR_UEV_PS)
     energy = work[7, :n]
     np.multiply(shifts, shifts, out=energy)
-    np.add(energy, half * half, out=energy)
+    np.add(energy, half * half, out=energy)  # E^2
+    if ((window is None or math.exp(-window / t1) == 0.0) and energy.min() >= _TINY
+            and q * q < math.inf):
+        return _full_delay_moments(half, shifts, q, energy, weights, work[:6, :n])
     np.sqrt(energy, out=energy)
     nonzero = work[0].view(np.bool_)[:n]  # row 0 is free until the weights fill it
     np.greater(energy, 0.0, out=nonzero)
@@ -338,6 +356,40 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     np.multiply(rows[4], im_g, out=rows[7])
     np.multiply(rows[:3], re_g, out=rows[3:6])
     return rows[:8].sum(axis=1)
+
+
+def _full_delay_moments(half: float, shifts: np.ndarray, q: float, e2: np.ndarray, weights,
+                        rows: np.ndarray) -> np.ndarray:
+    """The eight sums of :func:`_moments` over all emission delays from the
+    row e2 of E^2 = half^2 + h^2, with q = 2 T1/hbar: no square root and no
+    x or y row. Every E^2 is at least the smallest normal double and q^2 is
+    finite.
+
+    Re g = L = 1/(1 + q^2 E^2) and Im g = -q E L. With r = 1/E^2, x^2 =
+    half^2 r, xy = half h r, Im g x = -q half L and Im g y = -q h L, so each
+    sum is a scalar times one of the six rows r, h r, L, L r, L h r and L h,
+    written into rows (six rows of n = shifts.size columns). An array of
+    weights multiplies the rows, a scalar the sums. Where E^2 overflows,
+    r and L are 0; only s^2/4 or a shift itself overflowing leaves
+    inf 0 = nan in the sums.
+    """
+    r, re_g = rows[0], rows[2]
+    np.divide(1.0, e2, out=r)
+    np.multiply(e2, q * q, out=re_g)
+    np.add(re_g, 1.0, out=re_g)
+    np.reciprocal(re_g, out=re_g)  # L
+    np.multiply(shifts, r, out=rows[1])  # h r
+    np.multiply(rows[:2], re_g, out=rows[3:5])  # L r, L h r
+    np.multiply(shifts, re_g, out=rows[5])  # L h
+    if np.ndim(weights):
+        np.multiply(rows, weights, out=rows)
+        sums, total = rows.sum(axis=1), weights.sum()
+    else:
+        sums, total = weights * rows.sum(axis=1), weights * shifts.size
+    s_r, s_hr, s_l, s_lr, s_lhr, s_lh = sums.tolist()
+    half2 = half * half
+    return np.array([total, half2 * s_r, half * s_hr, s_l, half2 * s_lr, half * s_lhr,
+                     -q * half * s_l, -q * s_lh])
 
 
 def _rho_from_moments(m: np.ndarray) -> np.ndarray:

@@ -421,8 +421,10 @@ class TestMomentAverage:
 
 def reference_moments(s, shifts, t1, window, weights):
     """The eight moment sums with g from the kernel's phase average: per-call
-    arrays, one pairwise sum per row of w (1, x^2, xy), of those times Re g
-    and of w (x, y) times Im g."""
+    arrays of x = s/(2E) and y = h/E (x = 1, y = 0 at E = 0), one pairwise
+    sum per row of w (1, x^2, xy), of those times Re g and of w (x, y) times
+    Im g. The kernel's E-based branch sums the same rows; its unwindowed
+    branch works from E^2 alone."""
     half = 0.5 * s
     energy = np.sqrt(half * half + shifts * shifts)
     nonzero = energy > 0.0
@@ -436,6 +438,24 @@ def reference_moments(s, shifts, t1, window, weights):
     return np.concatenate([basis.sum(axis=1), (basis * g.real).sum(axis=1), imag.sum(axis=1)])
 
 
+def longdouble_moment_rows(s, shifts, t1):
+    """The per-shift terms of the last seven unwindowed moments, x^2, xy,
+    Re g, Re g x^2, Re g xy, Im g x and Im g y, in np.longdouble arithmetic
+    with g = 1/(1 + i w), w = 2 E T1/hbar, and x = 1, y = 0 at E = 0."""
+    ld = np.longdouble
+    h = shifts.astype(ld)
+    half = ld(s) / 2
+    energy = np.sqrt(half * half + h * h)
+    nonzero = energy > 0
+    safe = np.where(nonzero, energy, ld(1))
+    x = np.where(nonzero, half / safe, ld(1))
+    y = np.where(nonzero, h / safe, ld(0))
+    w = 2 * energy * ld(t1) / ld(HBAR_UEV_PS)
+    re_g = 1 / (1 + w * w)
+    im_g = -w * re_g
+    return [x * x, x * y, re_g, re_g * x * x, re_g * x * y, im_g * x, im_g * y]
+
+
 class TestMomentKernel:
     WINDOWS = (None, 1e-3, 350.0, 1e5)
 
@@ -446,6 +466,13 @@ class TestMomentKernel:
         tail = 0.6 * overhauser_samples(31, 999, start=CHUNK_SAMPLES)
         full[17] = tail[3] = 0.0
         return full, tail
+
+    @staticmethod
+    def assert_sums_close(moments, expected, weights, n):
+        # 1e-15 of the weights' sum per moment: each sum adds terms of at
+        # most one in magnitude times their weight.
+        total = float(np.sum(np.broadcast_to(weights, (n,))))
+        assert np.abs(moments - expected).max() <= 1e-15 * total
 
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("s", [0.0, 0.4])
@@ -461,12 +488,18 @@ class TestMomentKernel:
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("s", [0.0, 0.4, 3.0])
     def test_windowed_branch_equals_reference_bytes(self, s, window):
-        # Both compute g with _phase_average, so this checks that the kernel
-        # lays out its rows and sums the products like the per-call reference.
+        # Both compute g with _phase_average, so with a window this checks
+        # that the kernel lays out its rows and sums the products like the
+        # per-call reference. Without one the kernel may sum other rows,
+        # built from E^2 alone, and agrees within 1e-15 of the weights' sum.
         for shifts in self.chunks():
             for w in (1.0, np.linspace(0.5, 1.5, shifts.size)):
                 moments = _moments(s, shifts, 430.0, window, w)
-                assert moments.tobytes() == reference_moments(s, shifts, 430.0, window, w).tobytes()
+                expected = reference_moments(s, shifts, 430.0, window, w)
+                if window is None:
+                    self.assert_sums_close(moments, expected, w, shifts.size)
+                else:
+                    assert moments.tobytes() == expected.tobytes()
 
     @hypothesis_settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -476,7 +509,7 @@ class TestMomentKernel:
         order=st.integers(3, 64),
         sampled=st.booleans(),
     )
-    def test_unwindowed_sums_equal_reference_bytes(self, s, sigma, t1, order, sampled):
+    def test_unwindowed_sums_match_reference(self, s, sigma, t1, order, sampled):
         # Odd Gauss-Hermite orders put a node at h = 0; the sampled shifts
         # carry an exact zero and uneven weights.
         if sampled:
@@ -487,9 +520,65 @@ class TestMomentKernel:
             nodes, gh_weights = _hermgauss(order)
             shifts = np.sqrt(2.0) * sigma * nodes
             weights = gh_weights / np.sqrt(np.pi)
-        # Without a window the kernel sums the same eight rows as with one.
         moments = _moments(s, shifts, t1, None, weights)
-        assert moments.tobytes() == reference_moments(s, shifts, t1, None, weights).tobytes()
+        expected = reference_moments(s, shifts, t1, None, weights)
+        self.assert_sums_close(moments, expected, weights, shifts.size)
+
+    @pytest.mark.parametrize("t1", [20.0, 3000.0])
+    @pytest.mark.parametrize("s", [0.0, 0.4, 2.0, 20.0])
+    def test_unwindowed_sums_match_longdouble(self, s, t1):
+        # 20 cases each: five noise widths, unit and uneven weights, with and
+        # without an exact zero shift (at s = 0 the degenerate point E = 0).
+        rng = np.random.default_rng(int(s) + int(t1))
+        for sigma in (0.01, 0.1, 0.41, 1.0, 5.0):
+            for uneven in (False, True):
+                for zero in (False, True):
+                    shifts = rng.normal(scale=sigma, size=2_000)
+                    if zero:
+                        shifts[0] = 0.0
+                    weights = rng.uniform(0.1, 2.0, size=shifts.size) if uneven else 1.0
+                    w = np.broadcast_to(weights, shifts.shape).astype(np.longdouble)
+                    rows = longdouble_moment_rows(s, shifts, t1)
+                    expected = [w.sum()] + [(w * row).sum() for row in rows]
+                    moments = _moments(s, shifts, t1, None, weights)
+                    error = max(abs(np.longdouble(m) - e) for m, e in zip(moments, expected))
+                    assert error <= 1e-15 * w.sum()
+
+    def test_overflowing_c_takes_the_e_branch(self):
+        # Above T1 = ~4.4e156 ps, c = (2 T1/hbar)^2 overflows while w =
+        # 2 E T1/hbar need not: at s = 3e-154 ueV and h = 0, Re g is 0.046.
+        shifts = np.zeros(1)
+        moments = _moments(3e-154, shifts, 1e157, None, 1.0)
+        assert moments.tobytes() == reference_moments(3e-154, shifts, 1e157, None, 1.0).tobytes()
+        assert abs(moments[3] - 0.0459) < 1e-4
+
+    @pytest.mark.parametrize("weight", [1.0, 0.3, np.array([0.3])])
+    def test_degenerate_point(self, weight):
+        # s = h = 0: x = 1, y = 0 and g = 1.
+        w = float(np.sum(weight))
+        for t1 in (20.0, 430.0, 3000.0):
+            moments = _moments(0.0, np.zeros(1), t1, None, weight)
+            assert moments.tolist() == [w, w, 0.0, w, w, 0.0, 0.0, 0.0]
+            # At s = 1e-170 ueV, s^2 underflows to 0: the same point.
+            moments = _moments(1e-170, np.zeros(1), t1, None, weight)
+            self.assert_sums_close(moments, [w, w, 0.0, w, w, 0.0, 0.0, 0.0], weight, 1)
+            # At s = 1e-160 ueV, s^2/4 is subnormal and 1/E^2 would overflow.
+            rho = _rho_from_moments(_moments(1e-160, np.zeros(1), t1, None, weight) / w)
+            assert np.abs(rho - PHI_PLUS_RHO).max() <= 1e-15
+
+    @pytest.mark.parametrize("order", [3, 33, 63])
+    def test_degenerate_node_of_odd_orders(self, order):
+        # At s = 0 the middle node h = 0 is the degenerate point; every other
+        # node has x = 0, so <x^2> and <Re g x^2> are its weight.
+        nodes, gh_weights = _hermgauss(order)
+        weights = gh_weights / np.sqrt(np.pi)
+        middle = weights[order // 2]
+        assert nodes[order // 2] == 0.0
+        moments = _moments(0.0, np.sqrt(2.0) * 0.41 * nodes, 430.0, None, weights)
+        self.assert_sums_close(moments[[1, 4]], [middle, middle], weights, order)
+        self.assert_sums_close(moments[[2, 5, 6]], [0.0, 0.0, 0.0], weights, order)
+        expected = reference_moments(0.0, np.sqrt(2.0) * 0.41 * nodes, 430.0, None, weights)
+        self.assert_sums_close(moments, expected, weights, order)
 
 
 class TestMonteCarloRho:
@@ -690,6 +779,34 @@ class TestWindowRange:
         # At 1e-321 ps, W/T1 is exactly 0.
         for s in (0.0, 0.4):
             assert not np.isfinite(self.state(s, 0.41, rule, window)).all()
+
+
+class TestSigmaRange:
+    # Without a window the kernel reads E^2 = s^2/4 + h^2 only: where h^2
+    # overflows, 1/E^2 and Re g are 0, so the average stays finite for any
+    # sigma whose shifts are finite.
+    CONFIGS = TestWindowRange.CONFIGS
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [1e154, 1e300])
+    def test_huge_sigma_monte_carlo_is_the_incoherent_state(self, sigma):
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=sigma, k=1.0)
+        rho = assert_density_matrix(monte_carlo_rho(params, self.CONFIGS["monte_carlo"]))
+        assert abs(metrics_from_rho(rho).fidelity - 0.5) <= 1e-15
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("s", [1e-3, 0.4])
+    def test_huge_sigma_gauss_hermite_keeps_the_middle_node(self, s):
+        # Only the node at h = 0, of weight w, keeps its coherence:
+        # F = (1 + w Re g(s/2))/2.
+        # (At s = 0 that node is the degenerate point E = 0, which the
+        # E-based branch averages, and the state overflows as with a window.)
+        params = PhysicalParams(s=s, t1=430.0, sigma=1e300, k=1.0)
+        rho = assert_density_matrix(monte_carlo_rho(params, self.CONFIGS["gauss_hermite"]))
+        fidelity = metrics_from_rho(rho).fidelity
+        middle = _hermgauss(33)[1][16] / np.sqrt(np.pi)
+        re_g = closed_form_phase_average(s, 430.0).real
+        assert abs(fidelity - 0.5 * (1.0 + middle * re_g)) <= 1e-15
 
 
 class TestMixing:
