@@ -105,9 +105,12 @@ def analytic_fidelity(params: PhysicalParams) -> float:
     f = (1 + k + 2k / (1 + 4 T1^2 (s^2 + sigma^2) / hbar^2)) / 4.
 
     This replaces the average of the Lorentzian coherence factor over the
-    shift distribution by a single Lorentzian of the combined broadening, so
-    it sits below the quadrature average for broad spin noise. The CLI
-    reports both values side by side.
+    shift distribution by a single Lorentzian of the combined broadening.
+    The model's Lorentzian is 1/(1 + T1^2 (s^2 + 4 h^2)/hbar^2), so the
+    estimate weights s^2 by 4 against it and is not the model's sigma -> 0
+    limit: 0.886 against 0.961 for the reference dot (s = 0.4 ueV, T1 =
+    430 ps, k = 0.99) at sigma = 0. The CLI reports both values side by
+    side.
     """
     s, sigma, t1, k = params.s, params.sigma, params.t1, params.k
     lorentz = 1.0 / (1.0 + 4.0 * t1 * t1 * (s * s + sigma * sigma) / HBAR_UEV_PS**2)
@@ -287,125 +290,104 @@ def _phase_average(energy: np.ndarray, t1: float, window: float | None, re_g: np
 # changes the summation order and with it the last bits of every output.
 CHUNK_SAMPLES = 65_536
 
-# Rows of the _moments workspace. E^2 in row 7. The E-based branch takes E
-# in place there, x and y in rows 5-6, Re g and Im g in rows 8-9, the
-# phase average's scratch in rows 0-2, then the eight summed rows 0-7. The
-# E^2-only branch: the six summed rows 0-5.
-_WORK_ROWS = 10
-
-# The smallest normal double: from it up, 1/E^2 is finite.
-_TINY = np.finfo(np.float64).tiny
+# Rows of the _moments workspace. The windowed branch takes x and y in
+# rows 5-6, E in row 7, Im g in row 8, and Re g in row 0, which first holds
+# the E > 0 mask; the phase average's scratch is rows 1-3, and the five
+# summed rows are 0-4. The unwindowed branch sums rows 0-1.
+_WORK_ROWS = 9
 
 
 def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
              weights, work: np.ndarray | None = None) -> np.ndarray:
-    """The eight weighted sums over shifts that the averaged state reads:
-    <1>, <x^2>, <xy>, <Re g>, <Re g x^2>, <Re g xy>, <Im g x> and <Im g y>.
+    """The six weighted sums over shifts that the averaged state reads:
+    <1>, <Re g>, <x^2 (1 - Re g)>, <xy (1 - Re g)>, <Im g x> and <Im g y>.
 
     With E = sqrt(s^2/4 + h^2), x = s/(2E) and y = h/E (x = 1, y = 0 at the
     degenerate point s = h = 0); g is the emission phase average at the
-    exciton splitting 2E. weights is an array matching shifts or a scalar.
-    Every per-sample intermediate is written into work[:, :n], a
-    C-contiguous float64 array of _WORK_ROWS rows and at least n =
-    shifts.size columns: 10 x 65,536 x 8 B = 5 MiB at the Monte Carlo chunk
-    size; no per-sample array is complex. The Monte Carlo engine passes one
-    for all its chunks; without one the call makes its own of width n. The
-    sums are one ufunc sum over a contiguous block of rows rather than a
-    matrix product, which would hand them to a multi-threaded BLAS.
+    exciton splitting 2E. weights is an array matching shifts or a scalar;
+    an array multiplies the summed rows, a scalar the sums. Every
+    per-sample intermediate is written into work[:, :n], a C-contiguous
+    float64 array of _WORK_ROWS rows and at least n = shifts.size columns:
+    9 x 65,536 x 8 B = 4.5 MiB at the Monte Carlo chunk size; no per-sample
+    array is complex. The Monte Carlo engine passes one for all its chunks;
+    without one the call makes its own of width n. The sums are one ufunc
+    sum over a contiguous block of rows rather than a matrix product, which
+    would hand them to a multi-threaded BLAS.
 
-    Two branches. Without a window, or with one so long that exp(-W/T1) is
-    0 and the window factor is 1, g = 1/(1 + i w) needs only w^2 = c E^2,
-    c = (2 T1/hbar)^2, and the sums come from E^2 alone, see
-    :func:`_full_delay_moments`. That needs 1/E^2 and c finite, so a call
-    with E^2 below the smallest normal double anywhere (the degenerate
-    point, an h = 0 node at s = 0) or T1 above ~4.4e156 ps takes the other
-    branch. It takes the square root and writes E, x and y rows;
-    :func:`_phase_average` writes Re g and Im g from E, because a window's
-    tan(E W/hbar) needs E itself, and the kernel sums the eight rows
-    w (1, x^2, xy) (1, Re g) and w (x, y) Im g. Where E overflows there,
-    Im g is -inf 0 = nan, so the state reports the overflow.
+    Without a window, or with one so long that exp(-W/T1) is 0 and the
+    window factor is 1, g = 1/(1 + i w) with w = q E, q = 2 T1/hbar, so
+    Re g = L = 1/(1 + p^2 + (q h)^2), p = q s/2, and Im g = -q E L. As
+    (1 - L)/E^2 = q^2 L, every sum is a scalar times S_L = sum w L or
+    S_hL = sum w h L: <Re g> = S_L, <x^2 (1 - Re g)> = p^2 S_L, <xy (1 -
+    Re g)> = p q S_hL, <Im g x> = -p S_L and <Im g y> = -q S_hL. L = 1 at
+    E = 0, and where (q h)^2 overflows L and h L are 0; the sums are finite
+    while p^2 = (T1 s/hbar)^2 is. With a window :func:`_phase_average`
+    writes Re g and Im g from E, because the window's tan(E W/hbar) needs
+    E itself, and the kernel sums the five rows w (Re g, x^2 (1 - Re g),
+    xy (1 - Re g), x Im g, y Im g). Where E overflows there, Im g is
+    -inf 0 = nan, so the state reports the overflow.
     """
     n = shifts.size
     if work is None:
         work = np.empty((_WORK_ROWS, n))
     half = 0.5 * s
-    q = 2.0 * (t1 / HBAR_UEV_PS)
-    energy = work[7, :n]
-    np.multiply(shifts, shifts, out=energy)
-    np.add(energy, half * half, out=energy)  # E^2
-    if ((window is None or math.exp(-window / t1) == 0.0) and energy.min() >= _TINY
-            and q * q < math.inf):
-        return _full_delay_moments(half, shifts, q, energy, weights, work[:6, :n])
-    np.sqrt(energy, out=energy)
-    nonzero = work[0].view(np.bool_)[:n]  # row 0 is free until the weights fill it
-    np.greater(energy, 0.0, out=nonzero)
-    x, y = work[5, :n], work[6, :n]
-    x.fill(1.0)
-    np.divide(half, energy, out=x, where=nonzero)
-    y.fill(0.0)
-    np.divide(shifts, energy, out=y, where=nonzero)
-    re_g, im_g = work[8, :n], work[9, :n]
-    _phase_average(energy, t1, window, re_g, im_g, work[:3, :n])
-    rows = work[:, :n]
-    rows[0] = weights
-    np.multiply(rows[0], x, out=rows[3])  # w x
-    np.multiply(rows[3], x, out=rows[1])  # w x^2
-    np.multiply(rows[0], y, out=rows[4])  # w y
-    np.multiply(rows[4], x, out=rows[2])  # w xy
-    np.multiply(rows[3], im_g, out=rows[6])
-    np.multiply(rows[4], im_g, out=rows[7])
-    np.multiply(rows[:3], re_g, out=rows[3:6])
-    return rows[:8].sum(axis=1)
-
-
-def _full_delay_moments(half: float, shifts: np.ndarray, q: float, e2: np.ndarray, weights,
-                        rows: np.ndarray) -> np.ndarray:
-    """The eight sums of :func:`_moments` over all emission delays from the
-    row e2 of E^2 = half^2 + h^2, with q = 2 T1/hbar: no square root and no
-    x or y row. Every E^2 is at least the smallest normal double and q^2 is
-    finite.
-
-    Re g = L = 1/(1 + q^2 E^2) and Im g = -q E L. With r = 1/E^2, x^2 =
-    half^2 r, xy = half h r, Im g x = -q half L and Im g y = -q h L, so each
-    sum is a scalar times one of the six rows r, h r, L, L r, L h r and L h,
-    written into rows (six rows of n = shifts.size columns). An array of
-    weights multiplies the rows, a scalar the sums. Where E^2 overflows,
-    r and L are 0; only s^2/4 or a shift itself overflowing leaves
-    inf 0 = nan in the sums.
-    """
-    r, re_g = rows[0], rows[2]
-    np.divide(1.0, e2, out=r)
-    np.multiply(e2, q * q, out=re_g)
-    np.add(re_g, 1.0, out=re_g)
-    np.reciprocal(re_g, out=re_g)  # L
-    np.multiply(shifts, r, out=rows[1])  # h r
-    np.multiply(rows[:2], re_g, out=rows[3:5])  # L r, L h r
-    np.multiply(shifts, re_g, out=rows[5])  # L h
+    full_delay = window is None or math.exp(-window / t1) == 0.0
+    if full_delay:
+        q = 2.0 * (t1 / HBAR_UEV_PS)
+        p = q * half
+        rows = work[:2, :n]
+        lorentz, h_lorentz = rows
+        np.multiply(shifts, q, out=lorentz)
+        np.multiply(lorentz, lorentz, out=lorentz)
+        np.add(lorentz, 1.0 + p * p, out=lorentz)
+        np.reciprocal(lorentz, out=lorentz)  # L
+        np.multiply(shifts, lorentz, out=h_lorentz)
+    else:
+        energy = work[7, :n]
+        np.multiply(shifts, shifts, out=energy)
+        np.add(energy, half * half, out=energy)
+        np.sqrt(energy, out=energy)
+        nonzero = work[0].view(np.bool_)[:n]  # row 0 is free until Re g fills it
+        np.greater(energy, 0.0, out=nonzero)
+        xy = work[5:7, :n]
+        x, y = xy
+        x.fill(1.0)
+        np.divide(half, energy, out=x, where=nonzero)
+        y.fill(0.0)
+        np.divide(shifts, energy, out=y, where=nonzero)
+        rows = work[:5, :n]
+        re_g, im_g = rows[0], work[8, :n]
+        _phase_average(energy, t1, window, re_g, im_g, work[1:4, :n])
+        np.subtract(1.0, re_g, out=rows[3])
+        np.multiply(rows[3], x, out=rows[3])  # x (1 - Re g)
+        np.multiply(xy, rows[3], out=rows[1:3])
+        np.multiply(xy, im_g, out=rows[3:5])
     if np.ndim(weights):
         np.multiply(rows, weights, out=rows)
         sums, total = rows.sum(axis=1), weights.sum()
     else:
-        sums, total = weights * rows.sum(axis=1), weights * shifts.size
-    s_r, s_hr, s_l, s_lr, s_lhr, s_lh = sums.tolist()
-    half2 = half * half
-    return np.array([total, half2 * s_r, half * s_hr, s_l, half2 * s_lr, half * s_lhr,
-                     -q * half * s_l, -q * s_lh])
+        sums, total = weights * rows.sum(axis=1), weights * n
+    if not full_delay:
+        return np.concatenate([[total], sums])
+    s_l, s_hl = sums.tolist()
+    q_s_hl = q * s_hl  # |q h L| <= 1/2, so p (q S_hL) is finite where p q may not be
+    return np.array([total, s_l, p * p * s_l, p * q_s_hl, -p * s_l, -q_s_hl])
 
 
 def _rho_from_moments(m: np.ndarray) -> np.ndarray:
     """The averaged state [[a, f, -f, d], [f*, b, -b, f], [-f*, -b, b, -f],
-    [d*, f*, -f*, a]] in HH, HV, VH, VV order, from the eight sums of
+    [d*, f*, -f*, a]] in HH, HV, VH, VV order, from the six sums of
     :func:`_moments`. Its Bell fidelity is a + Re d = (<1> + <Re g>)/2.
 
     This is 0.5 (u u^dag + v v^dag + g u v^dag + h.c.) summed over shifts,
     with the pair vectors u, v through the upper and lower exciton branch
     (see :func:`monte_carlo_rho`) written out in x and y.
     """
-    one, x2, xy, re_g, re_g_x2, re_g_xy, im_g_x, im_g_y = m.tolist()
-    a = 0.25 * (one + x2 + re_g - re_g_x2)
-    b = 0.25 * (one - x2 - re_g + re_g_x2)
-    d = complex(0.25 * (one - x2 + re_g + re_g_x2), 0.5 * im_g_x)
-    f = complex(0.25 * im_g_y, 0.25 * (xy - re_g_xy))
+    one, re_g, loss_x2, loss_xy, im_g_x, im_g_y = m.tolist()
+    a = 0.25 * (one + re_g + loss_x2)
+    b = 0.25 * (one - re_g - loss_x2)
+    d = complex(0.25 * (one + re_g - loss_x2), 0.5 * im_g_x)
+    f = complex(0.25 * im_g_y, 0.25 * loss_xy)
     fc, dc = f.conjugate(), d.conjugate()
     return np.array([[a, f, -f, d], [fc, b, -b, f], [-fc, -b, b, -f], [dc, fc, -fc, a]])
 
@@ -462,7 +444,7 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
 
     Averages the emission-time averaged state at one Overhauser shift over
     shifts drawn from N(0, sigma). The state is a constant linear map of
-    eight moments of the shifts (see :func:`_moments` and
+    six moments of the shifts (see :func:`_moments` and
     :func:`_rho_from_moments`), so only those moments are averaged. Monte
     Carlo mode adds them up over fixed chunks of :data:`CHUNK_SAMPLES`
     draws of the counter-based sampler: memory does not grow with
@@ -493,10 +475,10 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     uses the cached nodes. The Monte Carlo points must share seed and
     n_samples, so they share one sampler stream: each chunk of standard
     normals z = ndtri(u) is drawn once, and each point in turn adds the
-    eight moments of its shifts sigma * z to one float (points, 8) array.
+    six moments of its shifts sigma * z to one float (points, 6) array.
     Only one chunk of normals is held at a time, and every point's moments
     are computed in one float64 workspace made per call: _WORK_ROWS + 1 =
-    11 rows of up to CHUNK_SAMPLES columns, 11 x 65,536 x 8 B = 5.5 MiB,
+    10 rows of up to CHUNK_SAMPLES columns, 10 x 65,536 x 8 B = 5 MiB,
     the last row holding the scaled shifts.
     """
     points = list(points)
@@ -520,7 +502,7 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
         raise ValueError("Monte Carlo points must share seed and n_samples, got "
                          f"{sorted(streams)}")
     ((seed, n),) = streams
-    sums = np.zeros((len(sampled), 8))
+    sums = np.zeros((len(sampled), 6))
     work = np.empty((_WORK_ROWS + 1, min(n, CHUNK_SAMPLES)))
     kernel_work, shift_row = work[:_WORK_ROWS], work[_WORK_ROWS]
     for start in range(0, n, CHUNK_SAMPLES):

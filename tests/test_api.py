@@ -21,6 +21,8 @@ REMOVED = (
     "fidelity_phi_plus", "purity", "concurrence", "_fidelity_phi_plus", "_purity", "tensor",
     # The derived moment map; _rho_from_moments writes the state out.
     "_PAIR_UPPER", "_PAIR_LOWER", "_MOMENT_OUTER", "_moment_map", "_RHO_FROM_MOMENTS",
+    # The second unwindowed kernel and its 1/E^2 guard.
+    "_full_delay_moments", "_TINY",
 )
 
 

@@ -416,15 +416,15 @@ class TestMomentAverage:
         else:
             m = per_point_moments(params, config)
         fidelity = metrics_from_rho(_rho_from_moments(m)).fidelity
-        assert abs(fidelity - 0.5 * (m[0] + m[3])) <= 1e-15
+        assert abs(fidelity - 0.5 * (m[0] + m[1])) <= 1e-15
 
 
 def reference_moments(s, shifts, t1, window, weights):
-    """The eight moment sums with g from the kernel's phase average: per-call
-    arrays of x = s/(2E) and y = h/E (x = 1, y = 0 at E = 0), one pairwise
-    sum per row of w (1, x^2, xy), of those times Re g and of w (x, y) times
-    Im g. The kernel's E-based branch sums the same rows; its unwindowed
-    branch works from E^2 alone."""
+    """The six moment sums with g from the kernel's phase average: per-call
+    arrays of x = s/(2E) and y = h/E (x = 1, y = 0 at E = 0), and one
+    pairwise sum of w and of w times each of Re g, x^2 (1 - Re g), xy (1 -
+    Re g), x Im g and y Im g. The kernel's windowed branch sums the same
+    rows; its unwindowed branch sums two Lorentzian rows."""
     half = 0.5 * s
     energy = np.sqrt(half * half + shifts * shifts)
     nonzero = energy > 0.0
@@ -432,16 +432,16 @@ def reference_moments(s, shifts, t1, window, weights):
     y = np.divide(shifts, energy, out=np.zeros_like(energy), where=nonzero)
     g = phase_average(2.0 * energy, t1, window)
     w = np.broadcast_to(weights, shifts.shape)
-    wx, wy = w * x, w * y
-    basis = np.stack([w, wx * x, wy * x])
-    imag = np.stack([wx, wy]) * g.imag
-    return np.concatenate([basis.sum(axis=1), (basis * g.real).sum(axis=1), imag.sum(axis=1)])
+    loss_x = (1.0 - g.real) * x
+    terms = np.stack([g.real, x * loss_x, y * loss_x, x * g.imag, y * g.imag])
+    return np.concatenate([[w.sum()], (terms * w).sum(axis=1)])
 
 
 def longdouble_moment_rows(s, shifts, t1):
-    """The per-shift terms of the last seven unwindowed moments, x^2, xy,
-    Re g, Re g x^2, Re g xy, Im g x and Im g y, in np.longdouble arithmetic
-    with g = 1/(1 + i w), w = 2 E T1/hbar, and x = 1, y = 0 at E = 0."""
+    """The per-shift terms of the last five unwindowed moments, Re g,
+    x^2 (1 - Re g), xy (1 - Re g), Im g x and Im g y, in np.longdouble
+    arithmetic with g = 1/(1 + i w), w = 2 E T1/hbar, and x = 1, y = 0 at
+    E = 0."""
     ld = np.longdouble
     h = shifts.astype(ld)
     half = ld(s) / 2
@@ -453,7 +453,7 @@ def longdouble_moment_rows(s, shifts, t1):
     w = 2 * energy * ld(t1) / ld(HBAR_UEV_PS)
     re_g = 1 / (1 + w * w)
     im_g = -w * re_g
-    return [x * x, x * y, re_g, re_g * x * x, re_g * x * y, im_g * x, im_g * y]
+    return [re_g, x * x * (1 - re_g), x * y * (1 - re_g), im_g * x, im_g * y]
 
 
 class TestMomentKernel:
@@ -490,8 +490,8 @@ class TestMomentKernel:
     def test_windowed_branch_equals_reference_bytes(self, s, window):
         # Both compute g with _phase_average, so with a window this checks
         # that the kernel lays out its rows and sums the products like the
-        # per-call reference. Without one the kernel may sum other rows,
-        # built from E^2 alone, and agrees within 1e-15 of the weights' sum.
+        # per-call reference. Without one the kernel sums two Lorentzian
+        # rows instead, and agrees within 1e-15 of the weights' sum.
         for shifts in self.chunks():
             for w in (1.0, np.linspace(0.5, 1.5, shifts.size)):
                 moments = _moments(s, shifts, 430.0, window, w)
@@ -544,13 +544,14 @@ class TestMomentKernel:
                     error = max(abs(np.longdouble(m) - e) for m, e in zip(moments, expected))
                     assert error <= 1e-15 * w.sum()
 
-    def test_overflowing_c_takes_the_e_branch(self):
-        # Above T1 = ~4.4e156 ps, c = (2 T1/hbar)^2 overflows while w =
-        # 2 E T1/hbar need not: at s = 3e-154 ueV and h = 0, Re g is 0.046.
+    def test_finite_where_c_overflows(self):
+        # Above T1 = ~4.4e156 ps, c = (2 T1/hbar)^2 overflows while p =
+        # T1 s/hbar need not: at s = 3e-154 ueV and h = 0, Re g is 0.046.
         shifts = np.zeros(1)
         moments = _moments(3e-154, shifts, 1e157, None, 1.0)
-        assert moments.tobytes() == reference_moments(3e-154, shifts, 1e157, None, 1.0).tobytes()
-        assert abs(moments[3] - 0.0459) < 1e-4
+        self.assert_sums_close(moments, reference_moments(3e-154, shifts, 1e157, None, 1.0),
+                               1.0, 1)
+        assert abs(moments[1] - 0.0459) < 1e-4
 
     @pytest.mark.parametrize("weight", [1.0, 0.3, np.array([0.3])])
     def test_degenerate_point(self, weight):
@@ -558,25 +559,23 @@ class TestMomentKernel:
         w = float(np.sum(weight))
         for t1 in (20.0, 430.0, 3000.0):
             moments = _moments(0.0, np.zeros(1), t1, None, weight)
-            assert moments.tolist() == [w, w, 0.0, w, w, 0.0, 0.0, 0.0]
+            assert moments.tolist() == [w, w, 0.0, 0.0, 0.0, 0.0]
             # At s = 1e-170 ueV, s^2 underflows to 0: the same point.
             moments = _moments(1e-170, np.zeros(1), t1, None, weight)
-            self.assert_sums_close(moments, [w, w, 0.0, w, w, 0.0, 0.0, 0.0], weight, 1)
-            # At s = 1e-160 ueV, s^2/4 is subnormal and 1/E^2 would overflow.
+            self.assert_sums_close(moments, [w, w, 0.0, 0.0, 0.0, 0.0], weight, 1)
+            # At s = 1e-160 ueV, s^2/4 is subnormal.
             rho = _rho_from_moments(_moments(1e-160, np.zeros(1), t1, None, weight) / w)
             assert np.abs(rho - PHI_PLUS_RHO).max() <= 1e-15
 
     @pytest.mark.parametrize("order", [3, 33, 63])
     def test_degenerate_node_of_odd_orders(self, order):
-        # At s = 0 the middle node h = 0 is the degenerate point; every other
-        # node has x = 0, so <x^2> and <Re g x^2> are its weight.
+        # At s = 0 the middle node h = 0 is the degenerate point, where
+        # g = 1; every other node has x = 0, so the sums holding x are 0.
         nodes, gh_weights = _hermgauss(order)
         weights = gh_weights / np.sqrt(np.pi)
-        middle = weights[order // 2]
         assert nodes[order // 2] == 0.0
         moments = _moments(0.0, np.sqrt(2.0) * 0.41 * nodes, 430.0, None, weights)
-        self.assert_sums_close(moments[[1, 4]], [middle, middle], weights, order)
-        self.assert_sums_close(moments[[2, 5, 6]], [0.0, 0.0, 0.0], weights, order)
+        assert moments[[2, 3, 4]].tolist() == [0.0, 0.0, 0.0]
         expected = reference_moments(0.0, np.sqrt(2.0) * 0.41 * nodes, 430.0, None, weights)
         self.assert_sums_close(moments, expected, weights, order)
 
@@ -670,7 +669,7 @@ class TestMonteCarloRho:
 def per_point_moments(params, config):
     """The per-point Monte Carlo loop: each point draws its own shifts
     sigma * ndtri(u), chunk by chunk, and averages their moments."""
-    sums = np.zeros(8)
+    sums = np.zeros(6)
     n = config.n_samples
     for start in range(0, n, CHUNK_SAMPLES):
         normals = overhauser_samples(config.seed, min(CHUNK_SAMPLES, n - start), start)
@@ -782,9 +781,10 @@ class TestWindowRange:
 
 
 class TestSigmaRange:
-    # Without a window the kernel reads E^2 = s^2/4 + h^2 only: where h^2
-    # overflows, 1/E^2 and Re g are 0, so the average stays finite for any
-    # sigma whose shifts are finite.
+    # Without a window the kernel reads L = 1/(1 + (T1 s/hbar)^2 +
+    # (2 T1 h/hbar)^2) and h L only: where 2 T1 h/hbar or its square
+    # overflows, both are 0, so the average stays finite for any sigma whose
+    # shifts are finite.
     CONFIGS = TestWindowRange.CONFIGS
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -795,18 +795,24 @@ class TestSigmaRange:
         assert abs(metrics_from_rho(rho).fidelity - 0.5) <= 1e-15
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("s", [1e-3, 0.4])
+    @pytest.mark.parametrize("s", [0.0, 1e-3, 0.4])
     def test_huge_sigma_gauss_hermite_keeps_the_middle_node(self, s):
         # Only the node at h = 0, of weight w, keeps its coherence:
         # F = (1 + w Re g(s/2))/2.
-        # (At s = 0 that node is the degenerate point E = 0, which the
-        # E-based branch averages, and the state overflows as with a window.)
         params = PhysicalParams(s=s, t1=430.0, sigma=1e300, k=1.0)
         rho = assert_density_matrix(monte_carlo_rho(params, self.CONFIGS["gauss_hermite"]))
         fidelity = metrics_from_rho(rho).fidelity
         middle = _hermgauss(33)[1][16] / np.sqrt(np.pi)
         re_g = closed_form_phase_average(s, 430.0).real
         assert abs(fidelity - 0.5 * (1.0 + middle * re_g)) <= 1e-15
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_q_h_is_the_incoherent_state(self):
+        # At T1 = 1e6 ps, 2 T1 h/hbar overflows where h = sigma z does not;
+        # L = 0 there, and h L stays 0 where (2 T1 h/hbar) L would be nan.
+        params = PhysicalParams(s=0.4, t1=1e6, sigma=1e305, k=1.0)
+        rho = assert_density_matrix(monte_carlo_rho(params, self.CONFIGS["monte_carlo"]))
+        assert abs(metrics_from_rho(rho).fidelity - 0.5) <= 1e-15
 
 
 class TestMixing:
