@@ -290,42 +290,43 @@ def _phase_average(energy: np.ndarray, t1: float, window: float | None, re_g: np
 # changes the summation order and with it the last bits of every output.
 CHUNK_SAMPLES = 65_536
 
-# Rows of the _moments workspace. The windowed branch takes x and y in
-# rows 5-6, E in row 7, Im g in row 8, and Re g in row 0, which first holds
-# the E > 0 mask; the phase average's scratch is rows 1-3, and the five
-# summed rows are 0-4. The unwindowed branch sums rows 0-1.
-_WORK_ROWS = 9
+# Rows of the _moments workspace. The windowed branch takes x in row 4, E
+# in row 5, Im g in row 6, and Re g in row 0, which first holds the E > 0
+# mask; the phase average's scratch is rows 1-3, and the three summed rows
+# are 0-2. The unwindowed branch sums row 0.
+_WORK_ROWS = 7
 
 
 def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
              weights, work: np.ndarray | None = None) -> np.ndarray:
-    """The six weighted sums over shifts that the averaged state reads:
-    <1>, <Re g>, <x^2 (1 - Re g)>, <xy (1 - Re g)>, <Im g x> and <Im g y>.
+    """The four weighted sums over shifts that the averaged state reads:
+    <1>, <Re g>, <x^2 (1 - Re g)> and <Im g x>.
 
-    With E = sqrt(s^2/4 + h^2), x = s/(2E) and y = h/E (x = 1, y = 0 at the
-    degenerate point s = h = 0); g is the emission phase average at the
-    exciton splitting 2E. weights is an array matching shifts or a scalar;
-    an array multiplies the summed rows, a scalar the sums. Every
-    per-sample intermediate is written into work[:, :n], a C-contiguous
-    float64 array of _WORK_ROWS rows and at least n = shifts.size columns:
-    9 x 65,536 x 8 B = 4.5 MiB at the Monte Carlo chunk size; no per-sample
-    array is complex. The Monte Carlo engine passes one for all its chunks;
-    without one the call makes its own of width n. The sums are one ufunc
-    sum over a contiguous block of rows rather than a matrix product, which
-    would hand them to a multi-threaded BLAS.
+    With E = sqrt(s^2/4 + h^2) and x = s/(2E); g is the emission phase
+    average at the exciton splitting 2E. Every sum is even in h, so h and
+    -h give the same bytes: the sums are those of the shift set
+    symmetrized about 0, whose odd sums <xy (1 - Re g)> and <Im g y>, with
+    y = h/E, are 0. weights is an array matching shifts or a scalar; an
+    array multiplies the summed rows, a scalar the sums. Every per-sample
+    intermediate is written into work[:, :n], a C-contiguous float64 array
+    of _WORK_ROWS rows and at least n = shifts.size columns: 7 x 65,536 x
+    8 B = 3.5 MiB at the Monte Carlo chunk size; no per-sample array is
+    complex. The Monte Carlo engine passes one for all its chunks; without
+    one the call makes its own of width n. The sums are one ufunc sum over
+    a contiguous block of rows rather than a matrix product, which would
+    hand them to a multi-threaded BLAS.
 
     Without a window, or with one so long that exp(-W/T1) is 0 and the
     window factor is 1, g = 1/(1 + i w) with w = q E, q = 2 T1/hbar, so
     Re g = L = 1/(1 + p^2 + (q h)^2), p = q s/2, and Im g = -q E L. As
-    (1 - L)/E^2 = q^2 L, every sum is a scalar times S_L = sum w L or
-    S_hL = sum w h L: <Re g> = S_L, <x^2 (1 - Re g)> = p^2 S_L, <xy (1 -
-    Re g)> = p q S_hL, <Im g x> = -p S_L and <Im g y> = -q S_hL. L = 1 at
-    E = 0, and where (q h)^2 overflows L and h L are 0; the sums are finite
-    while p^2 = (T1 s/hbar)^2 is. With a window :func:`_phase_average`
-    writes Re g and Im g from E, because the window's tan(E W/hbar) needs
-    E itself, and the kernel sums the five rows w (Re g, x^2 (1 - Re g),
-    xy (1 - Re g), x Im g, y Im g). Where E overflows there, Im g is
-    -inf 0 = nan, so the state reports the overflow.
+    (1 - L)/E^2 = q^2 L, every sum is a scalar times S_L = sum w L:
+    <Re g> = S_L, <x^2 (1 - Re g)> = p^2 S_L and <Im g x> = -p S_L. L = 1
+    at E = 0, and where (q h)^2 overflows L is 0; the sums are finite while
+    p^2 = (T1 s/hbar)^2 is. With a window :func:`_phase_average` writes
+    Re g and Im g from E, because the window's tan(E W/hbar) needs E
+    itself, and the kernel sums the three rows w (Re g, x^2 (1 - Re g),
+    x Im g), with x = 1 at E = 0, where 1 - Re g and Im g are 0. Where E
+    overflows, Im g is -inf 0 = nan, so the state reports the overflow.
     """
     n = shifts.size
     if work is None:
@@ -335,33 +336,29 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     if full_delay:
         q = 2.0 * (t1 / HBAR_UEV_PS)
         p = q * half
-        rows = work[:2, :n]
-        lorentz, h_lorentz = rows
+        rows = work[:1, :n]
+        lorentz = rows[0]
         np.multiply(shifts, q, out=lorentz)
         np.multiply(lorentz, lorentz, out=lorentz)
         np.add(lorentz, 1.0 + p * p, out=lorentz)
         np.reciprocal(lorentz, out=lorentz)  # L
-        np.multiply(shifts, lorentz, out=h_lorentz)
     else:
-        energy = work[7, :n]
+        energy = work[5, :n]
         np.multiply(shifts, shifts, out=energy)
         np.add(energy, half * half, out=energy)
         np.sqrt(energy, out=energy)
         nonzero = work[0].view(np.bool_)[:n]  # row 0 is free until Re g fills it
         np.greater(energy, 0.0, out=nonzero)
-        xy = work[5:7, :n]
-        x, y = xy
+        x = work[4, :n]
         x.fill(1.0)
         np.divide(half, energy, out=x, where=nonzero)
-        y.fill(0.0)
-        np.divide(shifts, energy, out=y, where=nonzero)
-        rows = work[:5, :n]
-        re_g, im_g = rows[0], work[8, :n]
+        rows = work[:3, :n]
+        re_g, im_g = rows[0], work[6, :n]
         _phase_average(energy, t1, window, re_g, im_g, work[1:4, :n])
-        np.subtract(1.0, re_g, out=rows[3])
-        np.multiply(rows[3], x, out=rows[3])  # x (1 - Re g)
-        np.multiply(xy, rows[3], out=rows[1:3])
-        np.multiply(xy, im_g, out=rows[3:5])
+        np.subtract(1.0, re_g, out=rows[1])
+        np.multiply(rows[1], x, out=rows[1])
+        np.multiply(rows[1], x, out=rows[1])  # x^2 (1 - Re g)
+        np.multiply(x, im_g, out=rows[2])
     if np.ndim(weights):
         np.multiply(rows, weights, out=rows)
         sums, total = rows.sum(axis=1), weights.sum()
@@ -369,27 +366,26 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
         sums, total = weights * rows.sum(axis=1), weights * n
     if not full_delay:
         return np.concatenate([[total], sums])
-    s_l, s_hl = sums.tolist()
-    q_s_hl = q * s_hl  # |q h L| <= 1/2, so p (q S_hL) is finite where p q may not be
-    return np.array([total, s_l, p * p * s_l, p * q_s_hl, -p * s_l, -q_s_hl])
+    (s_l,) = sums.tolist()
+    return np.array([total, s_l, p * p * s_l, -p * s_l])
 
 
 def _rho_from_moments(m: np.ndarray) -> np.ndarray:
-    """The averaged state [[a, f, -f, d], [f*, b, -b, f], [-f*, -b, b, -f],
-    [d*, f*, -f*, a]] in HH, HV, VH, VV order, from the six sums of
+    """The averaged X state [[a, 0, 0, d], [0, b, -b, 0], [0, -b, b, 0],
+    [d*, 0, 0, a]] in HH, HV, VH, VV order, from the four sums of
     :func:`_moments`. Its Bell fidelity is a + Re d = (<1> + <Re g>)/2.
 
-    This is 0.5 (u u^dag + v v^dag + g u v^dag + h.c.) summed over shifts,
-    with the pair vectors u, v through the upper and lower exciton branch
-    (see :func:`monte_carlo_rho`) written out in x and y.
+    This is 0.5 (u u^dag + v v^dag + g u v^dag + h.c.) summed over shifts
+    symmetrized about 0, with the pair vectors u, v through the upper and
+    lower exciton branch (see :func:`monte_carlo_rho`) written out in x and
+    y = h/E. The terms odd in y cancel between h and -h, so the entries
+    between the HH/VV and HV/VH blocks are exact zeros.
     """
-    one, re_g, loss_x2, loss_xy, im_g_x, im_g_y = m.tolist()
+    one, re_g, loss_x2, im_g_x = m.tolist()
     a = 0.25 * (one + re_g + loss_x2)
     b = 0.25 * (one - re_g - loss_x2)
     d = complex(0.25 * (one + re_g - loss_x2), 0.5 * im_g_x)
-    f = complex(0.25 * im_g_y, 0.25 * loss_xy)
-    fc, dc = f.conjugate(), d.conjugate()
-    return np.array([[a, f, -f, d], [fc, b, -b, f], [-fc, -b, b, -f], [dc, fc, -fc, a]])
+    return np.array([[a, 0, 0, d], [0, b, -b, 0], [0, -b, b, 0], [d.conjugate(), 0, 0, a]])
 
 
 def overhauser_samples(seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -444,7 +440,7 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
 
     Averages the emission-time averaged state at one Overhauser shift over
     shifts drawn from N(0, sigma). The state is a constant linear map of
-    six moments of the shifts (see :func:`_moments` and
+    four moments of the shifts (see :func:`_moments` and
     :func:`_rho_from_moments`), so only those moments are averaged. Monte
     Carlo mode adds them up over fixed chunks of :data:`CHUNK_SAMPLES`
     draws of the counter-based sampler: memory does not grow with
@@ -475,11 +471,11 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     uses the cached nodes. The Monte Carlo points must share seed and
     n_samples, so they share one sampler stream: each chunk of standard
     normals z = ndtri(u) is drawn once, and each point in turn adds the
-    six moments of its shifts sigma * z to one float (points, 6) array.
+    four moments of its shifts sigma * z to one float (points, 4) array.
     Only one chunk of normals is held at a time, and every point's moments
     are computed in one float64 workspace made per call: _WORK_ROWS + 1 =
-    10 rows of up to CHUNK_SAMPLES columns, 10 x 65,536 x 8 B = 5 MiB,
-    the last row holding the scaled shifts.
+    8 rows of up to CHUNK_SAMPLES columns, 8 x 65,536 x 8 B = 4 MiB, the
+    last row holding the scaled shifts.
     """
     points = list(points)
     rhos = [None] * len(points)
@@ -502,7 +498,7 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
         raise ValueError("Monte Carlo points must share seed and n_samples, got "
                          f"{sorted(streams)}")
     ((seed, n),) = streams
-    sums = np.zeros((len(sampled), 6))
+    sums = np.zeros((len(sampled), 4))
     work = np.empty((_WORK_ROWS + 1, min(n, CHUNK_SAMPLES)))
     kernel_work, shift_row = work[:_WORK_ROWS], work[_WORK_ROWS]
     for start in range(0, n, CHUNK_SAMPLES):

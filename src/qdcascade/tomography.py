@@ -303,7 +303,7 @@ def load_count_records_csv(path) -> list[CountRecord]:
     """Read count records written by :func:`save_count_records_csv`.
 
     Every row after the header must have exactly the three fields; blank
-    lines are skipped.
+    lines are skipped. A row's error names its line.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -313,9 +313,11 @@ def load_count_records_csv(path) -> list[CountRecord]:
         for row in reader:
             if not row:
                 continue
-            if len(row) != 3:
-                raise ValueError(f"line {reader.line_num}: expected 3 fields "
-                                 f"label,counts,weight, got {len(row)}")
-            label, counts, weight = row
-            records.append(CountRecord(BasisSetting(label), int(counts), float(weight)))
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 fields label,counts,weight, got {len(row)}")
+                label, counts, weight = row
+                records.append(CountRecord(BasisSetting(label), int(counts), float(weight)))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from exc
         return records

@@ -206,9 +206,11 @@ def phase_average(delta, t1: float, window=None) -> np.ndarray:
 
 
 def fixed_shift_rho(s: float, h_z: float, t1: float, window=None) -> np.ndarray:
-    """The package's state at one Overhauser shift, averaged over emission
-    times: the one-shift, unit-weight call of the moment kernel."""
-    return _rho_from_moments(_moments(s, np.array([float(h_z)]), t1, window, 1.0))
+    """The package's state at the Overhauser shift pair +-h_z, weight 1/2
+    each, averaged over emission times: the kernel's moments are even in
+    the shift, so this is also its one-shift, unit-weight state."""
+    shifts = np.array([float(h_z), -float(h_z)])
+    return _rho_from_moments(_moments(s, shifts, t1, window, 0.5))
 
 
 def concurrence_pure(psi) -> float:

@@ -31,6 +31,7 @@ from conftest import (
 from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix
 from qdcascade.metrics import PHI_PLUS, metrics_from_rho
 from qdcascade.model import (
+    QUADRATURE_MODES,
     PhysicalParams,
     SimConfig,
     analytic_fidelity,
@@ -201,16 +202,19 @@ class TestTimeAveragedRho:
 
     def test_windowed_average_matches_time_quadrature(self):
         # independent oracle: Simpson average of the propagated matrices
-        # against the truncated exponential delay density
+        # against the truncated exponential delay density, at the shifts
+        # +h_z and -h_z with weight 1/2 each
         s, h_z, t1, window = 0.8, 0.45, 430.0, 600.0
-        h = build_hamiltonian(s, h_z)
-        j, l, delta = exciton_eigensystem(h)
-        psi0 = two_photon_state(j, l, delta, 0.0)
-        rho0 = np.outer(psi0, psi0.conj())
         times = np.linspace(0.0, window, 601)
         weights = np.exp(-times / t1)
-        stack = np.array([propagate_rho(rho0, h, t) for t in times])
-        oracle = simpson(weights[:, None, None] * stack, x=times, axis=0)
+        oracle = 0.0
+        for shift in (h_z, -h_z):
+            h = build_hamiltonian(s, shift)
+            j, l, delta = exciton_eigensystem(h)
+            psi0 = two_photon_state(j, l, delta, 0.0)
+            rho0 = np.outer(psi0, psi0.conj())
+            stack = np.array([propagate_rho(rho0, h, t) for t in times])
+            oracle = oracle + 0.5 * simpson(weights[:, None, None] * stack, x=times, axis=0)
         oracle /= simpson(weights, x=times)
         assert np.abs(fixed_shift_rho(s, h_z, t1, window) - oracle).max() < 1e-7
 
@@ -342,16 +346,20 @@ class TestMomentAverage:
 
     @pytest.mark.parametrize("s, window", CASES)
     def test_matches_outer_product_oracle(self, s, window):
+        # The kernel's sums are even in h: they give the state of the shifts
+        # symmetrized about 0, each of h and -h at half the weight.
         rng = np.random.default_rng(self.CASES.index((s, window)))
         shifts = np.concatenate([[0.0], rng.normal(scale=rng.uniform(0.05, 2.0), size=999)])
         weights = rng.uniform(size=shifts.size)
         weights /= weights.sum()
         moment = _rho_from_moments(_moments(s, shifts, 430.0, window, weights))
-        assert np.abs(moment - outer_product_rho(s, shifts, 430.0, window, weights)).max() <= 1e-13
+        expected = outer_product_rho(s, np.concatenate([shifts, -shifts]), 430.0, window,
+                                     np.concatenate([weights, weights]) / 2)
+        assert np.abs(moment - expected).max() <= 1e-13
 
     def test_single_shift_matches_oracle(self):
         for s, h in ((0.0, 0.0), (0.0, 0.7), (1.1, 0.0), (0.4, -2.5)):
-            expected = outer_product_rho(s, [h], 430.0, 350.0, [1.0])
+            expected = outer_product_rho(s, [h, -h], 430.0, 350.0, [0.5, 0.5])
             assert np.abs(fixed_shift_rho(s, h, 430.0, 350.0) - expected).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [1, CHUNK_SAMPLES - 1, CHUNK_SAMPLES, CHUNK_SAMPLES + 1,
@@ -420,40 +428,34 @@ class TestMomentAverage:
 
 
 def reference_moments(s, shifts, t1, window, weights):
-    """The six moment sums with g from the kernel's phase average: per-call
-    arrays of x = s/(2E) and y = h/E (x = 1, y = 0 at E = 0), and one
-    pairwise sum of w and of w times each of Re g, x^2 (1 - Re g), xy (1 -
-    Re g), x Im g and y Im g. The kernel's windowed branch sums the same
-    rows; its unwindowed branch sums two Lorentzian rows."""
+    """The four moment sums with g from the kernel's phase average: a
+    per-call array of x = s/(2E) (x = 1 at E = 0), and one pairwise sum of
+    w and of w times each of Re g, x^2 (1 - Re g) and x Im g. The kernel's
+    windowed branch sums the same rows; its unwindowed branch sums one
+    Lorentzian row."""
     half = 0.5 * s
     energy = np.sqrt(half * half + shifts * shifts)
-    nonzero = energy > 0.0
-    x = np.divide(half, energy, out=np.ones_like(energy), where=nonzero)
-    y = np.divide(shifts, energy, out=np.zeros_like(energy), where=nonzero)
+    x = np.divide(half, energy, out=np.ones_like(energy), where=energy > 0.0)
     g = phase_average(2.0 * energy, t1, window)
     w = np.broadcast_to(weights, shifts.shape)
     loss_x = (1.0 - g.real) * x
-    terms = np.stack([g.real, x * loss_x, y * loss_x, x * g.imag, y * g.imag])
+    terms = np.stack([g.real, x * loss_x, x * g.imag])
     return np.concatenate([[w.sum()], (terms * w).sum(axis=1)])
 
 
 def longdouble_moment_rows(s, shifts, t1):
-    """The per-shift terms of the last five unwindowed moments, Re g,
-    x^2 (1 - Re g), xy (1 - Re g), Im g x and Im g y, in np.longdouble
-    arithmetic with g = 1/(1 + i w), w = 2 E T1/hbar, and x = 1, y = 0 at
-    E = 0."""
+    """The per-shift terms of the last three unwindowed moments, Re g,
+    x^2 (1 - Re g) and Im g x, in np.longdouble arithmetic with
+    g = 1/(1 + i w), w = 2 E T1/hbar, and x = 1 at E = 0."""
     ld = np.longdouble
     h = shifts.astype(ld)
     half = ld(s) / 2
     energy = np.sqrt(half * half + h * h)
     nonzero = energy > 0
-    safe = np.where(nonzero, energy, ld(1))
-    x = np.where(nonzero, half / safe, ld(1))
-    y = np.where(nonzero, h / safe, ld(0))
+    x = np.where(nonzero, half / np.where(nonzero, energy, ld(1)), ld(1))
     w = 2 * energy * ld(t1) / ld(HBAR_UEV_PS)
     re_g = 1 / (1 + w * w)
-    im_g = -w * re_g
-    return [re_g, x * x * (1 - re_g), x * y * (1 - re_g), im_g * x, im_g * y]
+    return [re_g, x * x * (1 - re_g), -w * re_g * x]
 
 
 class TestMomentKernel:
@@ -490,8 +492,8 @@ class TestMomentKernel:
     def test_windowed_branch_equals_reference_bytes(self, s, window):
         # Both compute g with _phase_average, so with a window this checks
         # that the kernel lays out its rows and sums the products like the
-        # per-call reference. Without one the kernel sums two Lorentzian
-        # rows instead, and agrees within 1e-15 of the weights' sum.
+        # per-call reference. Without one the kernel sums one Lorentzian
+        # row instead, and agrees within 1e-15 of the weights' sum.
         for shifts in self.chunks():
             for w in (1.0, np.linspace(0.5, 1.5, shifts.size)):
                 moments = _moments(s, shifts, 430.0, window, w)
@@ -555,14 +557,14 @@ class TestMomentKernel:
 
     @pytest.mark.parametrize("weight", [1.0, 0.3, np.array([0.3])])
     def test_degenerate_point(self, weight):
-        # s = h = 0: x = 1, y = 0 and g = 1.
+        # s = h = 0: x = 1 and g = 1.
         w = float(np.sum(weight))
         for t1 in (20.0, 430.0, 3000.0):
             moments = _moments(0.0, np.zeros(1), t1, None, weight)
-            assert moments.tolist() == [w, w, 0.0, 0.0, 0.0, 0.0]
+            assert moments.tolist() == [w, w, 0.0, 0.0]
             # At s = 1e-170 ueV, s^2 underflows to 0: the same point.
             moments = _moments(1e-170, np.zeros(1), t1, None, weight)
-            self.assert_sums_close(moments, [w, w, 0.0, 0.0, 0.0, 0.0], weight, 1)
+            self.assert_sums_close(moments, [w, w, 0.0, 0.0], weight, 1)
             # At s = 1e-160 ueV, s^2/4 is subnormal.
             rho = _rho_from_moments(_moments(1e-160, np.zeros(1), t1, None, weight) / w)
             assert np.abs(rho - PHI_PLUS_RHO).max() <= 1e-15
@@ -570,14 +572,31 @@ class TestMomentKernel:
     @pytest.mark.parametrize("order", [3, 33, 63])
     def test_degenerate_node_of_odd_orders(self, order):
         # At s = 0 the middle node h = 0 is the degenerate point, where
-        # g = 1; every other node has x = 0, so the sums holding x are 0.
+        # g = 1; every other node has x = 0, so the two sums holding x are 0.
         nodes, gh_weights = _hermgauss(order)
         weights = gh_weights / np.sqrt(np.pi)
         assert nodes[order // 2] == 0.0
         moments = _moments(0.0, np.sqrt(2.0) * 0.41 * nodes, 430.0, None, weights)
-        assert moments[[2, 3, 4]].tolist() == [0.0, 0.0, 0.0]
+        assert moments[[2, 3]].tolist() == [0.0, 0.0]
         expected = reference_moments(0.0, np.sqrt(2.0) * 0.41 * nodes, 430.0, None, weights)
         self.assert_sums_close(moments, expected, weights, order)
+
+    @hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        s=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        shifts=st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), min_size=1, max_size=30),
+        t1=st.floats(20.0, 3000.0),
+        window=st.one_of(st.none(), st.floats(1e-3, 1e5)),
+        uneven=st.booleans(),
+    )
+    def test_sums_are_even_in_the_shift_bytes(self, s, shifts, t1, window, uneven):
+        # Every sum is even in h, so h -> -h leaves each byte of the moment
+        # vector, in both branches and for array and scalar weights.
+        shifts = np.array(shifts)
+        weights = np.linspace(0.5, 1.5, shifts.size) if uneven else 0.7
+        moments = _moments(s, shifts, t1, window, weights)
+        assert moments.shape == (4,)
+        assert _moments(s, -shifts, t1, window, weights).tobytes() == moments.tobytes()
 
 
 class TestMonteCarloRho:
@@ -634,16 +653,22 @@ class TestMonteCarloRho:
         order=st.integers(3, 64),
         window=st.one_of(st.none(), st.floats(1e-3, 10.0), st.floats(1e3, 1e7)),
         k=st.floats(1e-6, 1.0),
+        quadrature=st.sampled_from(QUADRATURE_MODES),
     )
-    def test_concurrence_of_x_states(self, s, sigma, t1, order, window, k):
-        # Gauss-Hermite nodes and the sigma = 0 node are symmetric in h, so
-        # the odd moments in f cancel and the mixed state is an X state:
-        # C = 2 max(0, |d| - b, b - a) with a, b, d = rho_11, rho_22, |rho_14|.
+    def test_concurrence_of_x_states(self, s, sigma, t1, order, window, k, quadrature):
+        # The shift distribution N(0, sigma) is symmetric in h, so the
+        # state is an X state in every mode: the eight entries between the
+        # HH/VV and HV/VH blocks are exact zeros, and C = 2 max(0, |d| - b,
+        # b - a) with a, b, d = rho_11, rho_22, |rho_14|.
         params = PhysicalParams(s=s, t1=t1, sigma=sigma, k=k)
-        config = SimConfig(quadrature="gauss_hermite", gh_order=order, window=window)
-        rho = apply_multipair_mixing(monte_carlo_rho(params, config), k)
+        config = SimConfig(n_samples=2_000, seed=29, quadrature=quadrature, gh_order=order,
+                           window=window)
+        unmixed = monte_carlo_rho(params, config)
+        rho = apply_multipair_mixing(unmixed, k)
+        for state in (unmixed, rho):
+            assert state[np.ix_([0, 3], [1, 2])].tolist() == [[0.0, 0.0]] * 2
+            assert state[np.ix_([1, 2], [0, 3])].tolist() == [[0.0, 0.0]] * 2
         a, b, d = rho[0, 0].real, rho[1, 1].real, abs(rho[0, 3])
-        assert abs(rho[0, 1]) <= 1e-15
         x_form = 2.0 * max(0.0, d - b, b - a)
         assert abs(metrics_from_rho(rho).concurrence - x_form) <= 1e-12
 
@@ -669,7 +694,7 @@ class TestMonteCarloRho:
 def per_point_moments(params, config):
     """The per-point Monte Carlo loop: each point draws its own shifts
     sigma * ndtri(u), chunk by chunk, and averages their moments."""
-    sums = np.zeros(6)
+    sums = np.zeros(4)
     n = config.n_samples
     for start in range(0, n, CHUNK_SAMPLES):
         normals = overhauser_samples(config.seed, min(CHUNK_SAMPLES, n - start), start)
@@ -782,9 +807,9 @@ class TestWindowRange:
 
 class TestSigmaRange:
     # Without a window the kernel reads L = 1/(1 + (T1 s/hbar)^2 +
-    # (2 T1 h/hbar)^2) and h L only: where 2 T1 h/hbar or its square
-    # overflows, both are 0, so the average stays finite for any sigma whose
-    # shifts are finite.
+    # (2 T1 h/hbar)^2) only: where 2 T1 h/hbar or its square overflows, L
+    # is 0, so the average stays finite for any sigma whose shifts are
+    # finite.
     CONFIGS = TestWindowRange.CONFIGS
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -809,7 +834,7 @@ class TestSigmaRange:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_q_h_is_the_incoherent_state(self):
         # At T1 = 1e6 ps, 2 T1 h/hbar overflows where h = sigma z does not;
-        # L = 0 there, and h L stays 0 where (2 T1 h/hbar) L would be nan.
+        # L = 0 there.
         params = PhysicalParams(s=0.4, t1=1e6, sigma=1e305, k=1.0)
         rho = assert_density_matrix(monte_carlo_rho(params, self.CONFIGS["monte_carlo"]))
         assert abs(metrics_from_rho(rho).fidelity - 0.5) <= 1e-15

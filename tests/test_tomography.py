@@ -432,6 +432,17 @@ class TestCountsCSV:
                                              f"got {fields}$"):
             load_count_records_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("HV,1.5,1.0", "invalid literal for int"),
+        ("XQ,1,1.0", "unknown polarization label 'XQ'"),
+        ("HV,1,x", "could not convert string to float"),
+    ])
+    def test_row_errors_name_their_line(self, tmp_path, row, message):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"label,counts,weight\nHH,10,1.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^line 3: {message}"):
+            load_count_records_csv(path)
+
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("label,counts,weight\n\nHH,5,1.0\n\nHV,3,2.0\n", encoding="utf-8")
