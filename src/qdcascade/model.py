@@ -237,64 +237,14 @@ class SimConfig:
             raise ValueError("gh_order must lie in [3, 64]")
 
 
-def _phase_average(energy: np.ndarray, t1: float, window: float | None, re_g: np.ndarray,
-                   im_g: np.ndarray, scratch: np.ndarray) -> None:
-    """Write Re g and Im g of the emission phase average into re_g and im_g.
-
-    g is the average of exp(-i delta t / hbar) over the delay density
-    exp(-t/T1)/T1, truncated to [0, window] and renormalized when a window
-    is given, at the splitting delta = 2E of each entry E of energy (ueV).
-    re_g and im_g are float rows of its size, scratch holds three more,
-    used only with a window, and energy is not written. Real arithmetic only.
-
-    Over all delays g0 = 1/(1 + i w) with w = delta T1/hbar = E (2 T1/hbar).
-    A window W multiplies it by 1 + kappa (1 - exp(-i b)), with kappa =
-    1/expm1(W/T1) and b = delta W/hbar. With t = tan(b/2) and Q = kappa sin b
-    = 2 kappa t/(1 + t^2), Re g = Re g0 + Q (t Re g0 - Im g0) and Im g =
-    Im g0 + Q (Re g0 + t Im g0): one transcendental call. A double lies at
-    least ~4.7e-19 from a pole of tan, so |t| < ~1e19 and t^2 is finite.
-    kappa = exp(-a)/(-expm1(-a)), a = W/T1, is 0 once exp(-a) underflows;
-    the factor is then 1 and skipped, so g is g0 byte for byte even where b
-    overflows. kappa is inf where a underflows to 0 or 2 kappa overflows,
-    and the state is then non-finite.
-    """
-    np.multiply(energy, -2.0 * (t1 / HBAR_UEV_PS), out=im_g)  # -w
-    np.multiply(im_g, im_g, out=re_g)
-    np.add(re_g, 1.0, out=re_g)
-    np.reciprocal(re_g, out=re_g)
-    np.multiply(im_g, re_g, out=im_g)
-    decay = 0.0 if window is None else math.exp(-window / t1)
-    if decay == 0.0:
-        return
-    a = window / t1
-    two_kappa = -2.0 * decay / math.expm1(-a) if a else math.inf
-    t, q, u = scratch[0], scratch[1], scratch[2]
-    np.multiply(energy, window / HBAR_UEV_PS, out=t)
-    np.tan(t, out=t)
-    np.multiply(t, t, out=q)
-    np.add(q, 1.0, out=q)
-    np.divide(t, q, out=q)
-    np.multiply(q, two_kappa, out=q)  # Q
-    np.multiply(t, im_g, out=u)
-    np.add(u, re_g, out=u)
-    np.multiply(u, q, out=u)  # Q (Re g0 + t Im g0)
-    np.multiply(t, re_g, out=t)
-    np.subtract(t, im_g, out=t)
-    np.multiply(t, q, out=t)  # Q (t Re g0 - Im g0)
-    np.add(re_g, t, out=re_g)
-    np.add(im_g, u, out=im_g)
-
-
 # Monte Carlo sums run over fixed chunks of the sample stream, so memory is
 # bounded for any n_samples. Part of the determinism contract: changing it
 # changes the summation order and with it the last bits of every output.
 CHUNK_SAMPLES = 65_536
 
-# Rows of the _moments workspace. The windowed branch takes x in row 4, E
-# in row 5, Im g in row 6, and Re g in row 0, which first holds the E > 0
-# mask; the phase average's scratch is rows 1-3, and the three summed rows
-# are 0-2. The unwindowed branch sums row 0.
-_WORK_ROWS = 7
+# Rows of the _moments workspace. Rows 0-3 are the summed rows L, M, L M
+# and K; a window's rows 4 and 5 hold beta and then t = tan(beta) and r.
+_WORK_ROWS = 6
 
 
 def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
@@ -303,71 +253,81 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     <1>, <Re g>, <x^2 (1 - Re g)> and <Im g x>.
 
     With E = sqrt(s^2/4 + h^2) and x = s/(2E); g is the emission phase
-    average at the exciton splitting 2E. Every sum is even in h, so h and
-    -h give the same bytes: the sums are those of the shift set
+    average at the exciton splitting 2E: the average of exp(-i 2E t/hbar)
+    over the delay density exp(-t/T1)/T1, truncated to [0, W] and
+    renormalized when a window W is given. Every sum is even in h, so h
+    and -h give the same bytes: the sums are those of the shift set
     symmetrized about 0, whose odd sums <xy (1 - Re g)> and <Im g y>, with
     y = h/E, are 0. weights is an array matching shifts or a scalar; an
     array multiplies the summed rows, a scalar the sums. Every per-sample
     intermediate is written into work[:, :n], a C-contiguous float64 array
-    of _WORK_ROWS rows and at least n = shifts.size columns: 7 x 65,536 x
-    8 B = 3.5 MiB at the Monte Carlo chunk size; no per-sample array is
+    of _WORK_ROWS rows and at least n = shifts.size columns: 6 x 65,536 x
+    8 B = 3 MiB at the Monte Carlo chunk size; no per-sample array is
     complex. The Monte Carlo engine passes one for all its chunks; without
     one the call makes its own of width n. The sums are one ufunc sum over
     a contiguous block of rows rather than a matrix product, which would
     hand them to a multi-threaded BLAS.
 
-    Without a window, or with one so long that exp(-W/T1) is 0 and the
-    window factor is 1, g = 1/(1 + i w) with w = q E, q = 2 T1/hbar, so
-    Re g = L = 1/(1 + p^2 + (q h)^2), p = q s/2, and Im g = -q E L. As
-    (1 - L)/E^2 = q^2 L, every sum is a scalar times S_L = sum w L:
-    <Re g> = S_L, <x^2 (1 - Re g)> = p^2 S_L and <Im g x> = -p S_L. L = 1
-    at E = 0, and where (q h)^2 overflows L is 0; the sums are finite while
-    p^2 = (T1 s/hbar)^2 is. With a window :func:`_phase_average` writes
-    Re g and Im g from E, because the window's tan(E W/hbar) needs E
-    itself, and the kernel sums the three rows w (Re g, x^2 (1 - Re g),
-    x Im g), with x = 1 at E = 0, where 1 - Re g and Im g are 0. Where E
-    overflows, Im g is -inf 0 = nan, so the state reports the overflow.
+    Over all delays g = 1/(1 + i w) with w = q E, q = 2 T1/hbar, so
+    Re g = L = 1/(1 + p^2 + (q h)^2), p = q s/2, and as x^2 = p^2/w^2 and
+    1 - L = w^2 L: x^2 (1 - Re g) = p^2 L and x Im g = -p L. A window
+    multiplies g by 1 + kappa (1 - exp(-2 i beta)), kappa = 1/expm1(a),
+    a = W/T1, beta = E W/hbar = w a/2. With t = tan(beta), r = t/beta,
+    u = 1/(1 + t^2), c2 = a/expm1(a), c1 = c2 a/2, J = c2 r u, K = c1 r^2 u
+    and M = J + K, this is exactly
+        Re g = L + (1 - L) M,  x^2 (1 - Re g) = p^2 L (1 - M),
+        x Im g = p (L M - L - K),
+    so the kernel sums the rows L, M, L M and K and never divides by E:
+    <Re g> = S_L + (S_M - S_LM), <x^2 (1 - Re g)> = p^2 (S_L - S_LM) and
+    <Im g x> = -p (S_L - S_LM + S_K). beta is floored at the smallest normal
+    double, where r = 1, so E = 0 gives the limit beta -> 0 instead of 0/0.
+    A double lies at least ~4.7e-19 from a pole of tan, so |t| < ~1e19 and
+    t^2 is finite. c2 = 1 where a underflows to 0, so every window answers.
+    Without a window, or with one so long that exp(-W/T1) is 0, only L is
+    summed. L = 1 at E = 0, and where (q h)^2 overflows L is 0; the sums
+    are finite while p^2 = (T1 s/hbar)^2 is, and, with a window, while E is.
     """
     n = shifts.size
     if work is None:
         work = np.empty((_WORK_ROWS, n))
     half = 0.5 * s
-    full_delay = window is None or math.exp(-window / t1) == 0.0
-    if full_delay:
-        q = 2.0 * (t1 / HBAR_UEV_PS)
-        p = q * half
-        rows = work[:1, :n]
-        lorentz = rows[0]
-        np.multiply(shifts, q, out=lorentz)
-        np.multiply(lorentz, lorentz, out=lorentz)
-        np.add(lorentz, 1.0 + p * p, out=lorentz)
-        np.reciprocal(lorentz, out=lorentz)  # L
-    else:
-        energy = work[5, :n]
-        np.multiply(shifts, shifts, out=energy)
-        np.add(energy, half * half, out=energy)
-        np.sqrt(energy, out=energy)
-        nonzero = work[0].view(np.bool_)[:n]  # row 0 is free until Re g fills it
-        np.greater(energy, 0.0, out=nonzero)
-        x = work[4, :n]
-        x.fill(1.0)
-        np.divide(half, energy, out=x, where=nonzero)
-        rows = work[:3, :n]
-        re_g, im_g = rows[0], work[6, :n]
-        _phase_average(energy, t1, window, re_g, im_g, work[1:4, :n])
-        np.subtract(1.0, re_g, out=rows[1])
-        np.multiply(rows[1], x, out=rows[1])
-        np.multiply(rows[1], x, out=rows[1])  # x^2 (1 - Re g)
-        np.multiply(x, im_g, out=rows[2])
+    q = 2.0 * (t1 / HBAR_UEV_PS)
+    p = q * half
+    decay = 0.0 if window is None else math.exp(-window / t1)
+    rows = work[:4 if decay else 1, :n]
+    lorentz = rows[0]
+    np.multiply(shifts, q, out=lorentz)
+    np.multiply(lorentz, lorentz, out=lorentz)
+    np.add(lorentz, 1.0 + p * p, out=lorentz)
+    np.reciprocal(lorentz, out=lorentz)  # L
+    if decay:
+        a = window / t1
+        c2 = a * decay / -math.expm1(-a) if a else 1.0
+        m, lm, k = rows[1], rows[2], rows[3]
+        beta, r = work[4, :n], work[5, :n]
+        np.multiply(shifts, shifts, out=beta)
+        np.add(beta, half * half, out=beta)
+        np.sqrt(beta, out=beta)
+        np.multiply(beta, window / HBAR_UEV_PS, out=beta)
+        np.maximum(beta, np.finfo(float).tiny, out=beta)
+        np.tan(beta, out=r)
+        np.multiply(r, r, out=k)
+        np.add(k, 1.0, out=k)
+        np.reciprocal(k, out=k)  # u
+        np.divide(r, beta, out=r)  # r
+        np.multiply(k, r, out=k)  # r u
+        np.multiply(k, c2, out=m)  # J
+        np.multiply(k, r, out=k)
+        np.multiply(k, 0.5 * c2 * a, out=k)  # K
+        np.add(m, k, out=m)  # M
+        np.multiply(lorentz, m, out=lm)
     if np.ndim(weights):
         np.multiply(rows, weights, out=rows)
         sums, total = rows.sum(axis=1), weights.sum()
     else:
         sums, total = weights * rows.sum(axis=1), weights * n
-    if not full_delay:
-        return np.concatenate([[total], sums])
-    (s_l,) = sums.tolist()
-    return np.array([total, s_l, p * p * s_l, -p * s_l])
+    s_l, s_m, s_lm, s_k = sums.tolist() + [0.0] * (4 - sums.size)
+    return np.array([total, s_l + (s_m - s_lm), p * p * (s_l - s_lm), -p * (s_l - s_lm + s_k)])
 
 
 def _rho_from_moments(m: np.ndarray) -> np.ndarray:
@@ -474,7 +434,7 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     four moments of its shifts sigma * z to one float (points, 4) array.
     Only one chunk of normals is held at a time, and every point's moments
     are computed in one float64 workspace made per call: _WORK_ROWS + 1 =
-    8 rows of up to CHUNK_SAMPLES columns, 8 x 65,536 x 8 B = 4 MiB, the
+    7 rows of up to CHUNK_SAMPLES columns, 7 x 65,536 x 8 B = 3.5 MiB, the
     last row holding the scaled shifts.
     """
     points = list(points)

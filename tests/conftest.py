@@ -1,8 +1,9 @@
 """Shared test helpers: random states, fixed-step ODE oracles, the
 Hamiltonian/propagator reference model of the cascade, the per-sample
-outer-product oracle of the spin-noise average, reference entanglement
-figures, the single figures of the package's metrics bundle, and thin
-wrappers that call the package's private moment kernel."""
+outer-product oracle of the spin-noise average, the complex128 emission
+phase average that the reference moments are built from, reference
+entanglement figures, the single figures of the package's metrics bundle,
+and a thin wrapper that calls the package's private moment kernel."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix
 from qdcascade.metrics import metrics_from_rho
-from qdcascade.model import _moments, _phase_average, _rho_from_moments
+from qdcascade.model import _moments, _rho_from_moments
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -185,7 +186,8 @@ def closed_form_phase_average(delta, t1: float, window=None) -> np.ndarray:
     is given, in complex128 arithmetic: 1/(1 + i w) with w = delta T1/hbar,
     or (expm1(-x)/x) / (expm1(-a)/a) with a = W/T1 and x = a + i delta W/hbar.
 
-    Shares no arithmetic with the package's real-valued phase average.
+    Shares no arithmetic with the package's moment kernel, which works in
+    real arithmetic from the Lorentzian L and tan(delta W/(2 hbar)).
     """
     delta = np.asarray(delta, dtype=float)
     if window is None:
@@ -193,16 +195,6 @@ def closed_form_phase_average(delta, t1: float, window=None) -> np.ndarray:
     a = window / t1
     x = a + 1j * (delta * (window / HBAR_UEV_PS))
     return (np.expm1(-x) / x) / (np.expm1(-a) / a)
-
-
-def phase_average(delta, t1: float, window=None) -> np.ndarray:
-    """The package's emission phase average at an array of splittings delta,
-    as complex values: the rows that the moment kernel's _phase_average
-    writes from the half-splittings E = delta/2."""
-    delta = np.asarray(delta, dtype=float)
-    rows = np.empty((5, delta.size))
-    _phase_average(0.5 * delta.ravel(), t1, window, rows[0], rows[1], rows[2:])
-    return (rows[0] + 1j * rows[1]).reshape(delta.shape)
 
 
 def fixed_shift_rho(s: float, h_z: float, t1: float, window=None) -> np.ndarray:

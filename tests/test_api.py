@@ -23,6 +23,9 @@ REMOVED = (
     "_PAIR_UPPER", "_PAIR_LOWER", "_MOMENT_OUTER", "_moment_map", "_RHO_FROM_MOMENTS",
     # The second unwindowed kernel and its 1/E^2 guard.
     "_full_delay_moments", "_TINY",
+    # The windowed branch's separate phase average; every window sums L
+    # and three window rows.
+    "_phase_average",
 )
 
 

@@ -305,8 +305,8 @@ class TestWindowSweep:
         assert abs(float(tail[3]) - full.purity) < 1e-9
 
     def test_extreme_windows(self, tmp_path):
-        # Down to the 2 kappa overflow a window keeps the Bell state, and one
-        # with exp(-W/T1) = 0 gives the full average exactly.
+        # Tiny windows keep the Bell state, and one with exp(-W/T1) = 0 gives
+        # the full average exactly.
         spec = write_spec(tmp_path)
         out = tmp_path / "windows.csv"
         code = main(["window-sweep", str(spec), "--windows", "5e-306", "1e-300", "1e300",
@@ -317,6 +317,17 @@ class TestWindowSweep:
         params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99)
         full = metrics_from_rho(monte_carlo_rho(params, SimConfig(quadrature="gauss_hermite")))
         assert rows[2:] == [[full.concurrence, full.fidelity, full.purity]] * 2
+
+    # Windows down to W/T1 = 0 (1e-321 ps) keep the Bell state and exit 0.
+    @pytest.mark.parametrize("window", ["1e-307", "1e-321"],
+                             ids=["tiny-window", "window-over-t1-underflows"])
+    def test_tiny_window_is_the_bell_state(self, tmp_path, window):
+        spec = write_spec(tmp_path)
+        out = tmp_path / "windows.csv"
+        code = main(["window-sweep", str(spec), "--windows", window, "--out", str(out)])
+        assert code == 0
+        row = [float(value) for value in read_csv(out)[1][1:]]
+        assert np.abs(np.array(row) - 1.0).max() <= 1e-12
 
     def test_rejects_unsorted_windows(self, tmp_path):
         spec = write_spec(tmp_path)
@@ -547,10 +558,8 @@ class TestNumericalFailures:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command, message", [
         (["simulate", "{huge_s}"], "non-finite"),
-        (["window-sweep", "{spec}", "--windows", "1e-307"], "non-finite"),
-        (["window-sweep", "{spec}", "--windows", "1e-321"], "non-finite"),
         (["tomography", "{spec}", "--mode", "six_basis", "--n-per-setting", "1"], "zero counts"),
-    ], ids=["huge-splitting", "tiny-window", "window-over-t1-underflows", "one-count-per-setting"])
+    ], ids=["huge-splitting", "one-count-per-setting"])
     def test_exits_3(self, tmp_path, capsys, command, message):
         paths = {
             "spec": write_spec(tmp_path),

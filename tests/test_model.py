@@ -21,7 +21,6 @@ from conftest import (
     fidelity_phi_plus,
     fixed_shift_rho,
     outer_product_rho,
-    phase_average,
     propagate_rho,
     purity,
     random_density_matrix,
@@ -222,18 +221,29 @@ class TestTimeAveragedRho:
         rho = fixed_shift_rho(1.3, 0.0, 430.0, window=1e-3)
         assert np.abs(rho - PHI_PLUS_RHO).max() < 1e-6
 
+    # The phase average g is read through the kernel's moments at a shift
+    # pair +-h (see pair_moments) and compared with moments built from an
+    # independent g: the complex128 closed form, or a series.
     def test_phase_average_forms(self):
         delta, t1 = 1.2, 430.0
-        value = phase_average(delta, t1)
+
+        def g(window):
+            # At s = delta and h = 0, x = 1: the moments are (1, Re g,
+            # 1 - Re g, Im g).
+            moments = _moments(delta, np.zeros(1), t1, window, 1.0)
+            assert abs(moments[2] - (1.0 - moments[1])) < 1e-15
+            return complex(moments[1], moments[3])
+
+        value = g(None)
         assert abs(value - 1.0 / (1.0 + 1j * delta * t1 / HBAR_UEV_PS)) < 1e-15
         # tiny window: no phase accrues yet
-        assert abs(phase_average(delta, t1, window=1e-6) - 1.0) < 1e-9
+        assert abs(g(1e-6) - 1.0) < 1e-9
         # huge window recovers the unwindowed average
-        assert abs(phase_average(delta, t1, window=1e9) - value) < 1e-14
-        array_values = phase_average(np.array([0.0, delta]), t1)
-        assert array_values.shape == (2,)
-        assert array_values[0] == 1.0
-        assert abs(array_values[1] - value) < 1e-15
+        assert abs(g(1e9) - value) < 1e-14
+        # an array of shifts, one of them the degenerate point E = 0
+        assert _moments(0.0, np.zeros(1), t1, None, 1.0).tolist() == [1.0, 1.0, 0.0, 0.0]
+        both = _moments(0.0, np.array([0.0, 0.5 * delta]), t1, None, 1.0)
+        assert abs(both[1] - (1.0 + value.real)) < 1e-15
 
     def test_windowed_phase_average_at_small_window(self):
         # window/T1 = 1.03e-4, where 1 - exp(-x) cancels to ~4 digits. The
@@ -242,14 +252,16 @@ class TestTimeAveragedRho:
         def ratio(x):
             return sum((-x) ** k / math.factorial(k + 1) for k in range(10))
 
+        def series(delta, t1, window):
+            rate = 1.0 / t1 + 1j * np.asarray(delta) / HBAR_UEV_PS
+            return ratio(rate * window) / ratio(window / t1)
+
         t1 = 430.0
         window = 1.03e-4 * t1
         deltas = np.array([0.0, 0.4, 0.9124, 3.0, 20.0])
-        values = phase_average(deltas, t1, window)
-        for delta, value in zip(deltas, values):
-            rate = 1.0 / t1 + 1j * delta / HBAR_UEV_PS
-            expected = ratio(rate * window) / ratio(window / t1)
-            assert abs(value - expected) <= 2e-15 * abs(expected)
+        pairs = pair_moments(deltas, t1, window, series)
+        for delta, (moments, expected) in zip(np.repeat(deltas, 2), pairs):
+            assert np.abs(moments - expected).max() <= 2e-15 * abs(series(delta, t1, window))
 
     @hypothesis_settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -259,22 +271,26 @@ class TestTimeAveragedRho:
         window_over_t1=st.one_of(st.none(), st.floats(1e-2, 50.0)),
     )
     def test_phase_average_against_complex_oracle(self, deltas, t1, window_over_t1):
-        # Independent of the package's real arithmetic: complex128 closed forms.
+        # Independent of the kernel's real arithmetic: complex128 closed forms.
         deltas = np.array(deltas)
         window = None if window_over_t1 is None else window_over_t1 * t1
-        values = phase_average(deltas, t1, window)
-        expected = closed_form_phase_average(deltas, t1, window)
-        assert np.abs(values - expected).max() <= 2e-15
-        assert np.array_equal(phase_average(-deltas, t1, window), values.conj())
-        assert np.all(np.abs(values) <= 1.0 + 2 * np.finfo(float).eps)  # |g| <= 1 to rounding
-        assert phase_average(0.0, t1, window) == 1.0
+        for moments, expected in pair_moments(deltas, t1, window):
+            assert np.abs(moments - expected).max() <= 2e-15
+        for delta in deltas:
+            moments = _moments(abs(delta), np.zeros(1), t1, window, 1.0)  # x = 1
+            assert abs(complex(moments[1], moments[3])) <= 1.0 + 2 * np.finfo(float).eps
+            shift = _moments(0.0, np.array([0.5 * delta]), t1, window, 1.0)
+            assert _moments(0.0, np.array([-0.5 * delta]), t1, window, 1.0).tobytes() == \
+                shift.tobytes()
+        assert _moments(0.0, np.zeros(1), t1, window, 1.0).tolist() == [1.0, 1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("t1, window", [(50.0, 1.0), (430.0, 350.0), (2000.0, 3000.0),
                                             (430.0, 1e5)])
     def test_phase_average_at_tan_poles_and_small_angles(self, t1, window):
-        # The windowed average takes sin b and sin^2(b/2) from t = tan(b/2):
-        # near b = (2k+1) pi, |t| is as large as a float b allows, and for
-        # b <= 1e-8, t^2 is below the rounding of 1 + t^2.
+        # The window rows take cos^2 and sin cos of beta = delta W/(2 hbar)
+        # from t = tan(beta): near beta = (2k+1) pi/2, |t| is as large as a
+        # float beta allows, and for beta <= 1e-8, t^2 is below the rounding
+        # of 1 + t^2. Where E^2 underflows, beta is 0 and takes the floor.
         poles = (2 * np.arange(51) + 1) * np.pi * HBAR_UEV_PS / window
         small = np.geomspace(1e-300, 1e-8, 60) * HBAR_UEV_PS / window
         deltas = np.concatenate([poles, np.nextafter(poles, np.inf),
@@ -282,9 +298,11 @@ class TestTimeAveragedRho:
         deltas = np.concatenate([deltas, -deltas])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = phase_average(deltas, t1, window)
-        assert np.abs(values - closed_form_phase_average(deltas, t1, window)).max() <= 2e-15
-        assert np.all(np.abs(values) <= 1.0 + 2 * np.finfo(float).eps)
+            pairs = list(pair_moments(deltas, t1, window))
+        assert max(np.abs(moments - expected).max() for moments, expected in pairs) <= 2e-15
+        splitting_alone = [moments for moments, _ in pairs[::2]]  # x = 1
+        assert max(abs(complex(m[1], m[3])) for m in splitting_alone) <= \
+            1.0 + 2 * np.finfo(float).eps
 
     def test_valid_density_matrix(self):
         for window in (None, 120.0):
@@ -427,12 +445,12 @@ class TestMomentAverage:
         assert abs(fidelity - 0.5 * (m[0] + m[1])) <= 1e-15
 
 
-def reference_moments(s, shifts, t1, window, weights):
-    """The four moment sums with g from the kernel's phase average: a
-    per-call array of x = s/(2E) (x = 1 at E = 0), and one pairwise sum of
-    w and of w times each of Re g, x^2 (1 - Re g) and x Im g. The kernel's
-    windowed branch sums the same rows; its unwindowed branch sums one
-    Lorentzian row."""
+def reference_moments(s, shifts, t1, window, weights, phase_average=closed_form_phase_average):
+    """The four moment sums from g = phase_average(2E, t1, window), by
+    default the complex128 closed form: a per-call array of x = s/(2E)
+    (x = 1 at E = 0), and one pairwise sum of w and of w times each of
+    Re g, x^2 (1 - Re g) and x Im g. The kernel sums the Lorentzian row L
+    and, with a window, three window rows instead."""
     half = 0.5 * s
     energy = np.sqrt(half * half + shifts * shifts)
     x = np.divide(half, energy, out=np.ones_like(energy), where=energy > 0.0)
@@ -443,10 +461,24 @@ def reference_moments(s, shifts, t1, window, weights):
     return np.concatenate([[w.sum()], (terms * w).sum(axis=1)])
 
 
-def longdouble_moment_rows(s, shifts, t1):
-    """The per-shift terms of the last three unwindowed moments, Re g,
-    x^2 (1 - Re g) and Im g x, in np.longdouble arithmetic with
-    g = 1/(1 + i w), w = 2 E T1/hbar, and x = 1 at E = 0."""
+def pair_moments(deltas, t1, window, phase_average=closed_form_phase_average):
+    """(kernel, reference) moment vectors at the shift pair +-h, weight 1/2
+    each, for each splitting delta: first the splitting alone (s = |delta|,
+    h = 0, so x = 1 and the moments are 1, Re g, 1 - Re g and Im g), then
+    the shift alone (s = 0, h = delta/2, so x = 0)."""
+    for delta in np.ravel(deltas):
+        for s, h in ((abs(delta), 0.0), (0.0, 0.5 * delta)):
+            shifts = np.array([h, -h])
+            yield (_moments(s, shifts, t1, window, 0.5),
+                   reference_moments(s, shifts, t1, window, 0.5, phase_average))
+
+
+def longdouble_moment_rows(s, shifts, t1, window):
+    """The per-shift terms of the last three moments, Re g, x^2 (1 - Re g)
+    and Im g x, in np.longdouble arithmetic with x = 1 at E = 0. With
+    w = 2 E T1/hbar, b = 2 E W/hbar, a = W/T1 and c = 1 - exp(-a), g is
+    ((c + 2 exp(-a) sin^2(b/2)) + i exp(-a) sin b)/((1 + i w) c), and
+    1/(1 + i w) without a window."""
     ld = np.longdouble
     h = shifts.astype(ld)
     half = ld(s) / 2
@@ -454,8 +486,17 @@ def longdouble_moment_rows(s, shifts, t1):
     nonzero = energy > 0
     x = np.where(nonzero, half / np.where(nonzero, energy, ld(1)), ld(1))
     w = 2 * energy * ld(t1) / ld(HBAR_UEV_PS)
-    re_g = 1 / (1 + w * w)
-    return [re_g, x * x * (1 - re_g), -w * re_g * x]
+    if window is None:
+        decay, c, b = ld(0), ld(1), np.zeros_like(energy)
+    else:
+        a = ld(window) / ld(t1)
+        decay, c, b = np.exp(-a), -np.expm1(-a), 2 * energy * ld(window) / ld(HBAR_UEV_PS)
+    real = c + 2 * decay * np.sin(b / 2) ** 2
+    imag = decay * np.sin(b)
+    scale = 1 / ((1 + w * w) * c)
+    re_g = (real + w * imag) * scale
+    im_g = (imag - w * real) * scale
+    return [re_g, x * x * (1 - re_g), im_g * x]
 
 
 class TestMomentKernel:
@@ -490,18 +531,14 @@ class TestMomentKernel:
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("s", [0.0, 0.4, 3.0])
     def test_windowed_branch_equals_reference_bytes(self, s, window):
-        # Both compute g with _phase_average, so with a window this checks
-        # that the kernel lays out its rows and sums the products like the
-        # per-call reference. Without one the kernel sums one Lorentzian
-        # row instead, and agrees within 1e-15 of the weights' sum.
+        # The kernel sums L and the window rows; the reference sums the rows
+        # of x and the complex128 g. They agree within 1e-15 of the
+        # weights' sum, with and without a window.
         for shifts in self.chunks():
             for w in (1.0, np.linspace(0.5, 1.5, shifts.size)):
                 moments = _moments(s, shifts, 430.0, window, w)
                 expected = reference_moments(s, shifts, 430.0, window, w)
-                if window is None:
-                    self.assert_sums_close(moments, expected, w, shifts.size)
-                else:
-                    assert moments.tobytes() == expected.tobytes()
+                self.assert_sums_close(moments, expected, w, shifts.size)
 
     @hypothesis_settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -529,22 +566,24 @@ class TestMomentKernel:
     @pytest.mark.parametrize("t1", [20.0, 3000.0])
     @pytest.mark.parametrize("s", [0.0, 0.4, 2.0, 20.0])
     def test_unwindowed_sums_match_longdouble(self, s, t1):
-        # 20 cases each: five noise widths, unit and uneven weights, with and
-        # without an exact zero shift (at s = 0 the degenerate point E = 0).
+        # 20 cases per window, without one and at four windows: five noise
+        # widths, unit and uneven weights, with and without an exact zero
+        # shift (at s = 0 the degenerate point E = 0).
         rng = np.random.default_rng(int(s) + int(t1))
-        for sigma in (0.01, 0.1, 0.41, 1.0, 5.0):
-            for uneven in (False, True):
-                for zero in (False, True):
-                    shifts = rng.normal(scale=sigma, size=2_000)
-                    if zero:
-                        shifts[0] = 0.0
-                    weights = rng.uniform(0.1, 2.0, size=shifts.size) if uneven else 1.0
-                    w = np.broadcast_to(weights, shifts.shape).astype(np.longdouble)
-                    rows = longdouble_moment_rows(s, shifts, t1)
-                    expected = [w.sum()] + [(w * row).sum() for row in rows]
-                    moments = _moments(s, shifts, t1, None, weights)
-                    error = max(abs(np.longdouble(m) - e) for m, e in zip(moments, expected))
-                    assert error <= 1e-15 * w.sum()
+        for window in (None, 1e-3, 350.0, 3000.0, 1e5):
+            for sigma in (0.01, 0.1, 0.41, 1.0, 5.0):
+                for uneven in (False, True):
+                    for zero in (False, True):
+                        shifts = rng.normal(scale=sigma, size=2_000)
+                        if zero:
+                            shifts[0] = 0.0
+                        weights = rng.uniform(0.1, 2.0, size=shifts.size) if uneven else 1.0
+                        w = np.broadcast_to(weights, shifts.shape).astype(np.longdouble)
+                        rows = longdouble_moment_rows(s, shifts, t1, window)
+                        expected = [w.sum()] + [(w * row).sum() for row in rows]
+                        moments = _moments(s, shifts, t1, window, weights)
+                        error = max(abs(np.longdouble(m) - e) for m, e in zip(moments, expected))
+                        assert error <= 1e-15 * w.sum()
 
     def test_finite_where_c_overflows(self):
         # Above T1 = ~4.4e156 ps, c = (2 T1/hbar)^2 overflows while p =
@@ -766,10 +805,9 @@ class TestMonteCarloRhos:
 
 
 class TestWindowRange:
-    # A window multiplies the full-delay average by 1 + kappa (1 - exp(-i b))
-    # with kappa = 1/expm1(W/T1): kappa is 0 once exp(-W/T1) underflows, and
-    # inf once W/T1 underflows to 0 or 2 kappa overflows (at T1 = 430 ps,
-    # W < ~4.8e-306 ps).
+    # A window's rows carry c2 = a/expm1(a), a = W/T1: the window is the
+    # full average once exp(-W/T1) underflows, and c2 stays finite down to
+    # a = 0, where it is 1.
     CONFIGS = {
         "monte_carlo": SimConfig(n_samples=CHUNK_SAMPLES + 17, seed=8),
         "gauss_hermite": SimConfig(quadrature="gauss_hermite", gh_order=33),
@@ -790,19 +828,14 @@ class TestWindowRange:
         full = self.state(s, sigma, rule, None)
         assert self.state(s, sigma, rule, window).tobytes() == full.tobytes()
 
-    @pytest.mark.parametrize("window", [1e-300, 5e-306])
+    # Below ~9.6e-306 ps, W/T1 is subnormal; at 1e-321 ps, it is exactly 0.
+    @pytest.mark.parametrize("window", [1e-300, 5e-306, 4e-306, 1e-307, 1e-310, 1e-321])
     @pytest.mark.parametrize("rule", ["monte_carlo", "gauss_hermite"])
     def test_tiny_window_is_the_bell_state(self, rule, window):
-        m = metrics_from_rho(self.state(0.4, 0.41, rule, window))
-        assert max(abs(m.fidelity - 1.0), abs(m.purity - 1.0), abs(m.concurrence - 1.0)) <= 1e-12
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("window", [4e-306, 1e-307, 1e-310, 1e-321])
-    @pytest.mark.parametrize("rule", ["monte_carlo", "gauss_hermite"])
-    def test_shorter_windows_give_non_finite_states(self, rule, window):
-        # At 1e-321 ps, W/T1 is exactly 0.
         for s in (0.0, 0.4):
-            assert not np.isfinite(self.state(s, 0.41, rule, window)).all()
+            m = metrics_from_rho(self.state(s, 0.41, rule, window))
+            assert max(abs(m.fidelity - 1.0), abs(m.purity - 1.0),
+                       abs(m.concurrence - 1.0)) <= 1e-12
 
 
 class TestSigmaRange:
