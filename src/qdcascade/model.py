@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -242,9 +243,10 @@ class SimConfig:
 # changes the summation order and with it the last bits of every output.
 CHUNK_SAMPLES = 65_536
 
-# Rows of the _moments workspace. Rows 0-3 are the summed rows L, M, L M
-# and K; a window's rows 4 and 5 hold beta and then t = tan(beta) and r.
-_WORK_ROWS = 6
+# Rows of the _moments workspace. Rows 0-2 are the summed rows A, M and K;
+# a window's rows 3 and 4 hold beta, then 1 - M, and t = tan(beta) and r.
+_WORK_ROWS = 5
+_BETA_RANGE = (sys.float_info.min, sys.float_info.max)
 
 
 def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
@@ -261,55 +263,48 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     y = h/E, are 0. weights is an array matching shifts or a scalar; an
     array multiplies the summed rows, a scalar the sums. Every per-sample
     intermediate is written into work[:, :n], a C-contiguous float64 array
-    of _WORK_ROWS rows and at least n = shifts.size columns: 6 x 65,536 x
-    8 B = 3 MiB at the Monte Carlo chunk size; no per-sample array is
-    complex. The Monte Carlo engine passes one for all its chunks; without
-    one the call makes its own of width n. The sums are one ufunc sum over
-    a contiguous block of rows rather than a matrix product, which would
-    hand them to a multi-threaded BLAS.
+    of _WORK_ROWS rows and at least n = shifts.size columns, 5 x 65,536 x
+    8 B = 2.5 MiB at the Monte Carlo chunk size; none is complex. The Monte
+    Carlo engine passes one for all its chunks; without one the call makes
+    its own. The sums are one ufunc sum over a contiguous block of rows, not
+    a matrix product, which would hand them to a multi-threaded BLAS.
 
-    Over all delays g = 1/(1 + i w) with w = q E, q = 2 T1/hbar, so
-    Re g = L = 1/(1 + p^2 + (q h)^2), p = q s/2, and as x^2 = p^2/w^2 and
-    1 - L = w^2 L: x^2 (1 - Re g) = p^2 L and x Im g = -p L. A window
-    multiplies g by 1 + kappa (1 - exp(-2 i beta)), kappa = 1/expm1(a),
-    a = W/T1, beta = E W/hbar = w a/2. With t = tan(beta), r = t/beta,
-    u = 1/(1 + t^2), c2 = a/expm1(a), c1 = c2 a/2, J = c2 r u, K = c1 r^2 u
-    and M = J + K, this is exactly
-        Re g = L + (1 - L) M,  x^2 (1 - Re g) = p^2 L (1 - M),
-        x Im g = p (L M - L - K),
-    so the kernel sums the rows L, M, L M and K and never divides by E:
-    <Re g> = S_L + (S_M - S_LM), <x^2 (1 - Re g)> = p^2 (S_L - S_LM) and
-    <Im g x> = -p (S_L - S_LM + S_K). beta is floored at the smallest normal
-    double, where r = 1, so E = 0 gives the limit beta -> 0 instead of 0/0.
-    A double lies at least ~4.7e-19 from a pole of tan, so |t| < ~1e19 and
-    t^2 is finite. c2 = 1 where a underflows to 0, so every window answers.
-    Without a window, or with one so long that exp(-W/T1) is 0, only L is
-    summed. L = 1 at E = 0, and where (q h)^2 overflows L is 0; the sums
-    are finite while p^2 = (T1 s/hbar)^2 is, and, with a window, while E is.
+    The kernel works in w = q E, q = 2 T1/hbar, and never forms E. Over
+    all delays g = 1/(1 + i w), so Re g = L = 1/(1 + p^2 + (q h)^2),
+    p = q s/2, and as x^2 = p^2/w^2 and 1 - L = w^2 L: x^2 (1 - Re g) =
+    p^2 L and x Im g = -p L. A window multiplies g by 1 + kappa (1 -
+    exp(-2 i beta)), kappa = 1/expm1(a), a = W/T1, beta = E W/hbar = a w/2
+    = sqrt((a q h/2)^2 + (a p/2)^2); while q h is finite, only a beta that
+    large overflows. With t = tan(beta), r = t/beta, u = 1/(1 + t^2),
+    c2 = a/expm1(a), J = c2 r u, K = c2 a r^2 u/2, M = J + K and
+    A = L (1 - M), this is exactly Re g = A + M, x^2 (1 - Re g) = p^2 A
+    and x Im g = -p (A + K), so the kernel sums the rows A, M and K. beta
+    is clipped to the normal doubles: r = 1 at E = 0, the limit
+    beta -> 0, and an overflowed beta keeps tan finite and M ~ 0. A double
+    is >= ~4.7e-19 from a pole of tan, so t^2 is finite. c2 = 1 where a
+    underflows to 0. With no window, or one so long that exp(-W/T1) is 0,
+    only A = L is summed. L = 1 at E = 0 and 0 where (q h)^2 overflows;
+    the sums are finite while p^2 = (T1 s/hbar)^2 is.
     """
     n = shifts.size
     if work is None:
         work = np.empty((_WORK_ROWS, n))
-    half = 0.5 * s
     q = 2.0 * (t1 / HBAR_UEV_PS)
-    p = q * half
+    p = q * (0.5 * s)
     decay = 0.0 if window is None else math.exp(-window / t1)
-    rows = work[:4 if decay else 1, :n]
+    rows = work[:3 if decay else 1, :n]
     lorentz = rows[0]
-    np.multiply(shifts, q, out=lorentz)
-    np.multiply(lorentz, lorentz, out=lorentz)
-    np.add(lorentz, 1.0 + p * p, out=lorentz)
-    np.reciprocal(lorentz, out=lorentz)  # L
+    np.multiply(shifts, q, out=lorentz)  # q h
     if decay:
         a = window / t1
         c2 = a * decay / -math.expm1(-a) if a else 1.0
-        m, lm, k = rows[1], rows[2], rows[3]
-        beta, r = work[4, :n], work[5, :n]
-        np.multiply(shifts, shifts, out=beta)
-        np.add(beta, half * half, out=beta)
+        m, k, beta, r = rows[1], rows[2], work[3, :n], work[4, :n]
+        ap = 0.5 * a * p
+        np.multiply(lorentz, 0.5 * a, out=beta)
+        np.multiply(beta, beta, out=beta)
+        np.add(beta, ap * ap, out=beta)
         np.sqrt(beta, out=beta)
-        np.multiply(beta, window / HBAR_UEV_PS, out=beta)
-        np.maximum(beta, np.finfo(float).tiny, out=beta)
+        beta.clip(*_BETA_RANGE, out=beta)
         np.tan(beta, out=r)
         np.multiply(r, r, out=k)
         np.add(k, 1.0, out=k)
@@ -320,14 +315,19 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
         np.multiply(k, r, out=k)
         np.multiply(k, 0.5 * c2 * a, out=k)  # K
         np.add(m, k, out=m)  # M
-        np.multiply(lorentz, m, out=lm)
+        np.subtract(1.0, m, out=beta)  # 1 - M
+    np.multiply(lorentz, lorentz, out=lorentz)
+    np.add(lorentz, 1.0 + p * p, out=lorentz)
+    np.reciprocal(lorentz, out=lorentz)  # L
+    if decay:
+        np.multiply(lorentz, beta, out=lorentz)  # A
     if np.ndim(weights):
         np.multiply(rows, weights, out=rows)
         sums, total = rows.sum(axis=1), weights.sum()
     else:
         sums, total = weights * rows.sum(axis=1), weights * n
-    s_l, s_m, s_lm, s_k = sums.tolist() + [0.0] * (4 - sums.size)
-    return np.array([total, s_l + (s_m - s_lm), p * p * (s_l - s_lm), -p * (s_l - s_lm + s_k)])
+    s_a, s_m, s_k = sums.tolist() + [0.0] * (3 - sums.size)
+    return np.array([total, s_a + s_m, p * p * s_a, -p * (s_a + s_k)])
 
 
 def _rho_from_moments(m: np.ndarray) -> np.ndarray:
@@ -434,7 +434,7 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     four moments of its shifts sigma * z to one float (points, 4) array.
     Only one chunk of normals is held at a time, and every point's moments
     are computed in one float64 workspace made per call: _WORK_ROWS + 1 =
-    7 rows of up to CHUNK_SAMPLES columns, 7 x 65,536 x 8 B = 3.5 MiB, the
+    6 rows of up to CHUNK_SAMPLES columns, 6 x 65,536 x 8 B = 3 MiB, the
     last row holding the scaled shifts.
     """
     points = list(points)

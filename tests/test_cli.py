@@ -329,6 +329,21 @@ class TestWindowSweep:
         row = [float(value) for value in read_csv(out)[1][1:]]
         assert np.abs(np.array(row) - 1.0).max() <= 1e-12
 
+    # With or without a window, sigma answers up to where its shifts
+    # overflow: at sigma = 1e300 every shift has lost its coherence.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("quadrature", ["monte_carlo", "gauss_hermite"])
+    def test_huge_sigma_is_the_incoherent_state(self, tmp_path, quadrature):
+        spec = write_spec(tmp_path, params={
+            "s_ueV": 0.4, "sigma_ueV": 1e300, "t1_ps": 430.0, "k": 1.0})
+        out = tmp_path / "windows.csv"
+        code = main(["window-sweep", str(spec), "--windows", "1e-3", "350", "3000",
+                     "--quadrature", quadrature, "--out", str(out)])
+        assert code == 0
+        for row in read_csv(out)[1:]:
+            assert float(row[1]) == 0.0
+            assert abs(float(row[2]) - 0.5) <= 1e-15
+
     def test_rejects_unsorted_windows(self, tmp_path):
         spec = write_spec(tmp_path)
         assert main(["window-sweep", str(spec), "--windows", "300", "100"]) == 2
@@ -559,7 +574,8 @@ class TestNumericalFailures:
     @pytest.mark.parametrize("command, message", [
         (["simulate", "{huge_s}"], "non-finite"),
         (["tomography", "{spec}", "--mode", "six_basis", "--n-per-setting", "1"], "zero counts"),
-    ], ids=["huge-splitting", "one-count-per-setting"])
+        (["window-sweep", "{huge_s}", "--windows", "350"], "non-finite"),
+    ], ids=["huge-splitting", "one-count-per-setting", "huge-splitting-windowed"])
     def test_exits_3(self, tmp_path, capsys, command, message):
         paths = {
             "spec": write_spec(tmp_path),

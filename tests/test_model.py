@@ -290,7 +290,7 @@ class TestTimeAveragedRho:
         # The window rows take cos^2 and sin cos of beta = delta W/(2 hbar)
         # from t = tan(beta): near beta = (2k+1) pi/2, |t| is as large as a
         # float beta allows, and for beta <= 1e-8, t^2 is below the rounding
-        # of 1 + t^2. Where E^2 underflows, beta is 0 and takes the floor.
+        # of 1 + t^2. Where beta^2 underflows, beta is 0 and takes the floor.
         poles = (2 * np.arange(51) + 1) * np.pi * HBAR_UEV_PS / window
         small = np.geomspace(1e-300, 1e-8, 60) * HBAR_UEV_PS / window
         deltas = np.concatenate([poles, np.nextafter(poles, np.inf),
@@ -838,30 +838,46 @@ class TestWindowRange:
                        abs(m.concurrence - 1.0)) <= 1e-12
 
 
+HUGE_SIGMA_WINDOWS = (None, 1e-3, 350.0, 3000.0)
+
+
+def with_windows(values):
+    """(value, window) cases for each of HUGE_SIGMA_WINDOWS; an unwindowed
+    case keeps the id of its value alone."""
+    return [pytest.param(value, window, id=str(value) if window is None else f"{value}-W{window}")
+            for window in HUGE_SIGMA_WINDOWS for value in values]
+
+
 class TestSigmaRange:
-    # Without a window the kernel reads L = 1/(1 + (T1 s/hbar)^2 +
-    # (2 T1 h/hbar)^2) only: where 2 T1 h/hbar or its square overflows, L
-    # is 0, so the average stays finite for any sigma whose shifts are
-    # finite.
+    # The kernel reads L = 1/(1 + (T1 s/hbar)^2 + (2 T1 h/hbar)^2): where
+    # 2 T1 h/hbar or its square overflows, L is 0. A window's angle
+    # beta = E W/hbar is formed from 2 T1 h/hbar times W/(2 T1), so while
+    # that is finite it overflows only where beta itself does; it is then
+    # clipped to the largest double, where the window rows are ~0. With or
+    # without a window, the average stays finite for any sigma whose
+    # shifts are finite, unless W/T1 underflows to 0 where 2 T1 h/hbar
+    # overflows.
     CONFIGS = TestWindowRange.CONFIGS
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("sigma", [1e154, 1e300])
-    def test_huge_sigma_monte_carlo_is_the_incoherent_state(self, sigma):
+    @pytest.mark.parametrize("sigma, window", with_windows([1e154, 1e300]))
+    def test_huge_sigma_monte_carlo_is_the_incoherent_state(self, sigma, window):
         params = PhysicalParams(s=0.4, t1=430.0, sigma=sigma, k=1.0)
-        rho = assert_density_matrix(monte_carlo_rho(params, self.CONFIGS["monte_carlo"]))
+        config = replace(self.CONFIGS["monte_carlo"], window=window)
+        rho = assert_density_matrix(monte_carlo_rho(params, config))
         assert abs(metrics_from_rho(rho).fidelity - 0.5) <= 1e-15
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("s", [0.0, 1e-3, 0.4])
-    def test_huge_sigma_gauss_hermite_keeps_the_middle_node(self, s):
+    @pytest.mark.parametrize("s, window", with_windows([0.0, 1e-3, 0.4]))
+    def test_huge_sigma_gauss_hermite_keeps_the_middle_node(self, s, window):
         # Only the node at h = 0, of weight w, keeps its coherence:
         # F = (1 + w Re g(s/2))/2.
         params = PhysicalParams(s=s, t1=430.0, sigma=1e300, k=1.0)
-        rho = assert_density_matrix(monte_carlo_rho(params, self.CONFIGS["gauss_hermite"]))
+        config = replace(self.CONFIGS["gauss_hermite"], window=window)
+        rho = assert_density_matrix(monte_carlo_rho(params, config))
         fidelity = metrics_from_rho(rho).fidelity
         middle = _hermgauss(33)[1][16] / np.sqrt(np.pi)
-        re_g = closed_form_phase_average(s, 430.0).real
+        re_g = closed_form_phase_average(s, 430.0, window).real
         assert abs(fidelity - 0.5 * (1.0 + middle * re_g)) <= 1e-15
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -869,8 +885,24 @@ class TestSigmaRange:
         # At T1 = 1e6 ps, 2 T1 h/hbar overflows where h = sigma z does not;
         # L = 0 there.
         params = PhysicalParams(s=0.4, t1=1e6, sigma=1e305, k=1.0)
-        rho = assert_density_matrix(monte_carlo_rho(params, self.CONFIGS["monte_carlo"]))
-        assert abs(metrics_from_rho(rho).fidelity - 0.5) <= 1e-15
+        for window in HUGE_SIGMA_WINDOWS:
+            config = replace(self.CONFIGS["monte_carlo"], window=window)
+            rho = assert_density_matrix(monte_carlo_rho(params, config))
+            assert abs(metrics_from_rho(rho).fidelity - 0.5) <= 1e-15, window
+
+    # Where (2 T1 h/hbar)^2 overflows and L is 0, a window short enough to
+    # keep beta = E W/hbar small still keeps the coherence.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("window", [1e-303, 1e-300, 1e-298])
+    def test_short_window_at_huge_sigma_against_closed_form(self, window):
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=1e300, k=1.0)
+        config = replace(self.CONFIGS["gauss_hermite"], window=window)
+        rho = assert_density_matrix(monte_carlo_rho(params, config))
+        nodes, weights = _hermgauss(33)
+        splitting = 2.0 * np.hypot(0.2, np.sqrt(2.0) * 1e300 * nodes)
+        re_g = closed_form_phase_average(splitting, 430.0, window).real
+        expected = 0.5 * (1.0 + weights @ re_g / np.sqrt(np.pi))
+        assert abs(metrics_from_rho(rho).fidelity - expected) <= 1e-15
 
 
 class TestMixing:
