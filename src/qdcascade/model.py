@@ -196,7 +196,7 @@ class PhysicalParams:
                 warnings.warn(
                     "tau_s is below 100 T1; the frozen-spin approximation is "
                     "questionable for this dot",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
 
@@ -269,13 +269,13 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     its own. The sums are one ufunc sum over a contiguous block of rows, not
     a matrix product, which would hand them to a multi-threaded BLAS.
 
-    The kernel works in w = q E, q = 2 T1/hbar, and never forms E. Over
-    all delays g = 1/(1 + i w), so Re g = L = 1/(1 + p^2 + (q h)^2),
+    The kernel first forms L from the row q h, q = 2 T1/hbar: over all
+    delays g = 1/(1 + i w), w = q E, so Re g = L = 1/(1 + p^2 + (q h)^2),
     p = q s/2, and as x^2 = p^2/w^2 and 1 - L = w^2 L: x^2 (1 - Re g) =
     p^2 L and x Im g = -p L. A window multiplies g by 1 + kappa (1 -
-    exp(-2 i beta)), kappa = 1/expm1(a), a = W/T1, beta = E W/hbar = a w/2
-    = sqrt((a q h/2)^2 + (a p/2)^2); while q h is finite, only a beta that
-    large overflows. With t = tan(beta), r = t/beta, u = 1/(1 + t^2),
+    exp(-2 i beta)), kappa = 1/expm1(a), a = W/T1, with the angle
+    beta = E W/hbar = sqrt((h W/hbar)^2 + (s W/(2 hbar))^2) formed from the
+    shifts. With t = tan(beta), r = t/beta, u = 1/(1 + t^2),
     c2 = a/expm1(a), J = c2 r u, K = c2 a r^2 u/2, M = J + K and
     A = L (1 - M), this is exactly Re g = A + M, x^2 (1 - Re g) = p^2 A
     and x Im g = -p (A + K), so the kernel sums the rows A, M and K. beta
@@ -284,7 +284,8 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     is >= ~4.7e-19 from a pole of tan, so t^2 is finite. c2 = 1 where a
     underflows to 0. With no window, or one so long that exp(-W/T1) is 0,
     only A = L is summed. L = 1 at E = 0 and 0 where (q h)^2 overflows;
-    the sums are finite while p^2 = (T1 s/hbar)^2 is.
+    the sums are finite while p^2 = (T1 s/hbar)^2 is, and while no
+    infinite shift meets a W/hbar that underflows to 0 (inf x 0 = nan).
     """
     n = shifts.size
     if work is None:
@@ -295,15 +296,18 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
     rows = work[:3 if decay else 1, :n]
     lorentz = rows[0]
     np.multiply(shifts, q, out=lorentz)  # q h
+    np.multiply(lorentz, lorentz, out=lorentz)
+    np.add(lorentz, 1.0 + p * p, out=lorentz)
+    np.reciprocal(lorentz, out=lorentz)  # L
     if decay:
         a = window / t1
         c2 = a * decay / -math.expm1(-a) if a else 1.0
         m, k, beta, r = rows[1], rows[2], work[3, :n], work[4, :n]
-        ap = 0.5 * a * p
-        np.multiply(lorentz, 0.5 * a, out=beta)
+        w_hbar = window / HBAR_UEV_PS
+        np.multiply(shifts, w_hbar, out=beta)  # h W/hbar
         np.multiply(beta, beta, out=beta)
-        np.add(beta, ap * ap, out=beta)
-        np.sqrt(beta, out=beta)
+        np.add(beta, (0.5 * s * w_hbar) * (0.5 * s * w_hbar), out=beta)
+        np.sqrt(beta, out=beta)  # beta = E W/hbar
         beta.clip(*_BETA_RANGE, out=beta)
         np.tan(beta, out=r)
         np.multiply(r, r, out=k)
@@ -315,12 +319,8 @@ def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
         np.multiply(k, r, out=k)
         np.multiply(k, 0.5 * c2 * a, out=k)  # K
         np.add(m, k, out=m)  # M
-        np.subtract(1.0, m, out=beta)  # 1 - M
-    np.multiply(lorentz, lorentz, out=lorentz)
-    np.add(lorentz, 1.0 + p * p, out=lorentz)
-    np.reciprocal(lorentz, out=lorentz)  # L
-    if decay:
-        np.multiply(lorentz, beta, out=lorentz)  # A
+        np.subtract(1.0, m, out=beta)
+        np.multiply(lorentz, beta, out=lorentz)  # A = L (1 - M)
     if np.ndim(weights):
         np.multiply(rows, weights, out=rows)
         sums, total = rows.sum(axis=1), weights.sum()
@@ -384,12 +384,15 @@ def overhauser_samples(seed: int, n: int, start: int = 0) -> np.ndarray:
 
 
 @functools.cache
-def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights, computed once per order.
-
-    The arrays are shared between calls, so they are returned read-only.
+def _normal_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Hermite rule for N(0, 1), computed once per order: nodes
+    z = sqrt(2) x, bitwise symmetric about 0, and weights w/sqrt(pi) from
+    hermgauss's x and w. Order 1 is the node z = 0 of weight 1. The arrays
+    are shared between calls, so they are returned read-only.
     """
     nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes *= np.sqrt(2.0)
+    weights /= np.sqrt(np.pi)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -426,31 +429,27 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
 def monte_carlo_rhos(points) -> list[np.ndarray]:
     """:func:`monte_carlo_rho` for each (PhysicalParams, SimConfig) pair.
 
-    Points that draw nothing take one kernel call each: a sigma = 0 point
-    is the one-node rule h = 0 with weight 1, and a gauss_hermite point
-    uses the cached nodes. The Monte Carlo points must share seed and
-    n_samples, so they share one sampler stream: each chunk of standard
-    normals z = ndtri(u) is drawn once, and each point in turn adds the
-    four moments of its shifts sigma * z to one float (points, 4) array.
-    Only one chunk of normals is held at a time, and every point's moments
-    are computed in one float64 workspace made per call: _WORK_ROWS + 1 =
-    6 rows of up to CHUNK_SAMPLES columns, 6 x 65,536 x 8 B = 3 MiB, the
-    last row holding the scaled shifts.
+    Points that draw nothing take one kernel call each, on the shifts
+    sigma z of the N(0, 1) rule of :func:`_normal_rule`: the gh_order rule,
+    or at sigma = 0 the one node z = 0 of weight 1. The Monte Carlo points
+    must share seed and n_samples, so they share one sampler stream: each
+    chunk of standard normals z = ndtri(u) is drawn once, and each point in
+    turn adds the four moments of its shifts sigma z to one float
+    (points, 4) array. Only one chunk of normals is held at a time, and
+    every point's moments are computed in one float64 workspace made per
+    call: _WORK_ROWS + 1 = 6 rows of up to CHUNK_SAMPLES columns,
+    6 x 65,536 x 8 B = 3 MiB, the last row holding the scaled shifts.
     """
     points = list(points)
     rhos = [None] * len(points)
     sampled = []
     for i, (params, config) in enumerate(points):
-        if params.sigma == 0.0:
-            shifts, weights = np.zeros(1), 1.0
-        elif config.quadrature == "gauss_hermite":
-            nodes, gh_weights = _hermgauss(config.gh_order)
-            shifts = np.sqrt(2.0) * params.sigma * nodes
-            weights = gh_weights / np.sqrt(np.pi)
-        else:
+        if params.sigma and config.quadrature == "monte_carlo":
             sampled.append(i)
             continue
-        rhos[i] = _rho_from_moments(_moments(params.s, shifts, params.t1, config.window, weights))
+        nodes, weights = _normal_rule(config.gh_order if params.sigma else 1)
+        rhos[i] = _rho_from_moments(_moments(params.s, params.sigma * nodes, params.t1,
+                                             config.window, weights))
     if not sampled:
         return rhos
     streams = {(points[i][1].seed, points[i][1].n_samples) for i in sampled}

@@ -70,13 +70,16 @@ class BasisSetting:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Coincidences counted in one setting; counts is an integer >= 0, not a bool."""
+    """Coincidences counted in one setting, a BasisSetting; counts is an
+    integer >= 0, not a bool."""
 
     setting: BasisSetting
     counts: int
     acquisition_weight: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.setting, BasisSetting):
+            raise ValueError(f"setting must be a BasisSetting, got {self.setting!r}")
         if not _is_integer(self.counts) or self.counts < 0:
             raise ValueError(f"counts must be an integer >= 0, got {self.counts!r}")
         _reject_bools(acquisition_weight=self.acquisition_weight)

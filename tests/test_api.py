@@ -26,6 +26,8 @@ REMOVED = (
     # The windowed branch's separate phase average; every window sums the
     # rows A, M and K.
     "_phase_average",
+    # The physicists' Gauss-Hermite nodes; _normal_rule holds the N(0, 1) rule.
+    "_hermgauss",
 )
 
 

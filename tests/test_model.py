@@ -45,8 +45,8 @@ from qdcascade.model import (
 from qdcascade.model import (
     _WORK_ROWS,
     CHUNK_SAMPLES,
-    _hermgauss,
     _moments,
+    _normal_rule,
     _philox,
     _rho_from_moments,
 )
@@ -437,8 +437,8 @@ class TestMomentAverage:
         params = PhysicalParams(s=s, t1=t1, sigma=sigma, k=1.0)
         config = SimConfig(n_samples=3_000, seed=17, window=window, quadrature=quadrature)
         if quadrature == "gauss_hermite":
-            nodes, weights = _hermgauss(config.gh_order)
-            m = _moments(s, np.sqrt(2.0) * sigma * nodes, t1, window, weights / np.sqrt(np.pi))
+            nodes, weights = _normal_rule(config.gh_order)
+            m = _moments(s, sigma * nodes, t1, window, weights)
         else:
             m = per_point_moments(params, config)
         fidelity = metrics_from_rho(_rho_from_moments(m)).fidelity
@@ -556,9 +556,8 @@ class TestMomentKernel:
             shifts = np.concatenate([[0.0], rng.normal(scale=sigma, size=40 * order)])
             weights = rng.uniform(0.1, 2.0, size=shifts.size)
         else:
-            nodes, gh_weights = _hermgauss(order)
-            shifts = np.sqrt(2.0) * sigma * nodes
-            weights = gh_weights / np.sqrt(np.pi)
+            nodes, weights = _normal_rule(order)
+            shifts = sigma * nodes
         moments = _moments(s, shifts, t1, None, weights)
         expected = reference_moments(s, shifts, t1, None, weights)
         self.assert_sums_close(moments, expected, weights, shifts.size)
@@ -612,12 +611,11 @@ class TestMomentKernel:
     def test_degenerate_node_of_odd_orders(self, order):
         # At s = 0 the middle node h = 0 is the degenerate point, where
         # g = 1; every other node has x = 0, so the two sums holding x are 0.
-        nodes, gh_weights = _hermgauss(order)
-        weights = gh_weights / np.sqrt(np.pi)
+        nodes, weights = _normal_rule(order)
         assert nodes[order // 2] == 0.0
-        moments = _moments(0.0, np.sqrt(2.0) * 0.41 * nodes, 430.0, None, weights)
+        moments = _moments(0.0, 0.41 * nodes, 430.0, None, weights)
         assert moments[[2, 3]].tolist() == [0.0, 0.0]
-        expected = reference_moments(0.0, np.sqrt(2.0) * 0.41 * nodes, 430.0, None, weights)
+        expected = reference_moments(0.0, 0.41 * nodes, 430.0, None, weights)
         self.assert_sums_close(moments, expected, weights, order)
 
     @hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
@@ -671,18 +669,34 @@ class TestMonteCarloRho:
         params = PhysicalParams(s=0.6, t1=430.0, sigma=0.5, k=1.0)
         config = SimConfig(quadrature="gauss_hermite", gh_order=24)
         first = monte_carlo_rho(params, config)
-        nodes, weights = _hermgauss(24)
-        assert _hermgauss(24)[0] is nodes
+        nodes, weights = _normal_rule(24)
+        assert _normal_rule(24)[0] is nodes
         with pytest.raises(ValueError):
             nodes[0] = 0.0
         with pytest.raises(ValueError):
             weights[0] = 0.0
-        fresh_nodes, fresh_weights = np.polynomial.hermite.hermgauss(24)
+        # The physicists' rule, for the weight exp(-x^2), scaled to N(0, 1).
+        x, w = np.polynomial.hermite.hermgauss(24)
+        fresh_nodes, fresh_weights = np.sqrt(2.0) * x, w / np.sqrt(np.pi)
         assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
-        uncached = _rho_from_moments(_moments(0.6, np.sqrt(2.0) * 0.5 * fresh_nodes, 430.0,
-                                              None, fresh_weights / np.sqrt(np.pi)))
+        uncached = _rho_from_moments(_moments(0.6, 0.5 * fresh_nodes, 430.0, None, fresh_weights))
         assert np.array_equal(first, uncached)
         assert np.array_equal(monte_carlo_rho(params, config), first)
+
+    def test_normal_rule(self):
+        # Order 1 is the sigma = 0 point. The kernel's sums are even in the
+        # shift bytes, so bitwise symmetric nodes keep the state an X state;
+        # the rule integrates 1, z^2 and z^4 of N(0, 1).
+        nodes, weights = _normal_rule(1)
+        assert (nodes.tolist(), weights.tolist()) == ([0.0], [1.0])
+        for order in range(3, 65):
+            nodes, weights = _normal_rule(order)
+            assert np.array_equal(nodes[::-1], -nodes), order
+            assert not nodes.flags.writeable and not weights.flags.writeable
+            assert _normal_rule(order)[1] is weights
+            assert abs(weights.sum() - 1.0) <= 4.4e-16, order
+            assert abs(weights @ nodes**2 - 1.0) <= 1e-13, order
+            assert abs(weights @ nodes**4 - 3.0) <= 1e-13, order
 
     @hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -851,12 +865,11 @@ def with_windows(values):
 class TestSigmaRange:
     # The kernel reads L = 1/(1 + (T1 s/hbar)^2 + (2 T1 h/hbar)^2): where
     # 2 T1 h/hbar or its square overflows, L is 0. A window's angle
-    # beta = E W/hbar is formed from 2 T1 h/hbar times W/(2 T1), so while
-    # that is finite it overflows only where beta itself does; it is then
-    # clipped to the largest double, where the window rows are ~0. With or
-    # without a window, the average stays finite for any sigma whose
-    # shifts are finite, unless W/T1 underflows to 0 where 2 T1 h/hbar
-    # overflows.
+    # beta = E W/hbar is formed from the shifts times W/hbar, so it
+    # overflows only where beta itself does; it is then clipped to the
+    # largest double, where the window rows are ~0. With or without a
+    # window, the average stays finite for any sigma, unless W/hbar
+    # underflows to 0 where a shift sigma z overflows.
     CONFIGS = TestWindowRange.CONFIGS
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -871,14 +884,16 @@ class TestSigmaRange:
     @pytest.mark.parametrize("s, window", with_windows([0.0, 1e-3, 0.4]))
     def test_huge_sigma_gauss_hermite_keeps_the_middle_node(self, s, window):
         # Only the node at h = 0, of weight w, keeps its coherence:
-        # F = (1 + w Re g(s/2))/2.
-        params = PhysicalParams(s=s, t1=430.0, sigma=1e300, k=1.0)
+        # F = (1 + w Re g(s/2))/2. From sigma = 1.3e308 the outer shifts
+        # sigma z overflow to inf, and the middle node stays at h = 0.
         config = replace(self.CONFIGS["gauss_hermite"], window=window)
-        rho = assert_density_matrix(monte_carlo_rho(params, config))
-        fidelity = metrics_from_rho(rho).fidelity
-        middle = _hermgauss(33)[1][16] / np.sqrt(np.pi)
+        middle = _normal_rule(33)[1][16]
         re_g = closed_form_phase_average(s, 430.0, window).real
-        assert abs(fidelity - 0.5 * (1.0 + middle * re_g)) <= 1e-15
+        for sigma in (1e300, 1.3e308, 1.7e308):
+            params = PhysicalParams(s=s, t1=430.0, sigma=sigma, k=1.0)
+            rho = assert_density_matrix(monte_carlo_rho(params, config))
+            fidelity = metrics_from_rho(rho).fidelity
+            assert abs(fidelity - 0.5 * (1.0 + middle * re_g)) <= 1e-15, sigma
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_q_h_is_the_incoherent_state(self):
@@ -891,17 +906,23 @@ class TestSigmaRange:
             assert abs(metrics_from_rho(rho).fidelity - 0.5) <= 1e-15, window
 
     # Where (2 T1 h/hbar)^2 overflows and L is 0, a window short enough to
-    # keep beta = E W/hbar small still keeps the coherence.
+    # keep beta = E W/hbar small still keeps the coherence, also at
+    # T1 = 1e6 ps and sigma = 1e304 ueV, where 2 T1 h/hbar itself
+    # overflows on the outer nodes.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("window", [1e-303, 1e-300, 1e-298])
-    def test_short_window_at_huge_sigma_against_closed_form(self, window):
-        params = PhysicalParams(s=0.4, t1=430.0, sigma=1e300, k=1.0)
+    @pytest.mark.parametrize("t1, sigma, window", [
+        *(pytest.param(430.0, 1e300, window, id=str(window))
+          for window in (1e-303, 1e-300, 1e-298)),
+        pytest.param(1e6, 1e304, 1e-302, id="T1e6-sigma1e304-W1e-302"),
+    ])
+    def test_short_window_at_huge_sigma_against_closed_form(self, t1, sigma, window):
+        params = PhysicalParams(s=0.4, t1=t1, sigma=sigma, k=1.0)
         config = replace(self.CONFIGS["gauss_hermite"], window=window)
         rho = assert_density_matrix(monte_carlo_rho(params, config))
-        nodes, weights = _hermgauss(33)
-        splitting = 2.0 * np.hypot(0.2, np.sqrt(2.0) * 1e300 * nodes)
-        re_g = closed_form_phase_average(splitting, 430.0, window).real
-        expected = 0.5 * (1.0 + weights @ re_g / np.sqrt(np.pi))
+        nodes, weights = _normal_rule(33)
+        splitting = 2.0 * np.hypot(0.2, sigma * nodes)
+        re_g = closed_form_phase_average(splitting, t1, window).real
+        expected = 0.5 * (1.0 + weights @ re_g)
         assert abs(metrics_from_rho(rho).fidelity - expected) <= 1e-15
 
 
@@ -1089,8 +1110,10 @@ class TestPhysicalParams:
             PhysicalParams(**kwargs)
 
     def test_frozen_spin_warning(self):
-        with pytest.warns(UserWarning, match="frozen-spin"):
+        with pytest.warns(UserWarning, match="frozen-spin") as record:
             PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99, tau_s=0.001)
+        # The warning points at the line that built the dot.
+        assert [entry.filename for entry in record] == [__file__]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99, tau_s=100.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,11 @@ class TestCountRecord:
     def test_rejects_counts_not_a_non_negative_integer(self, counts):
         with pytest.raises(ValueError, match=f"counts must be an integer >= 0, got {counts!r}"):
             CountRecord(BasisSetting("HH"), counts)
+
+    @pytest.mark.parametrize("setting", ["HH", None, ("H", "H")])
+    def test_rejects_setting_not_a_basis_setting(self, setting):
+        with pytest.raises(ValueError, match=re.escape(f"setting must be a BasisSetting, got {setting!r}")):
+            CountRecord(setting, 5)
 
     def test_frozen(self):
         record = CountRecord(BasisSetting("HH"), 10)
