@@ -74,7 +74,10 @@ def sigma_from_t2star(t2_star_ns: float) -> float:
     _reject_bools(t2_star=t2_star_ns)
     if not t2_star_ns > 0:
         raise ValueError("t2_star must be > 0")
-    return HBAR_UEV_PS / (t2_star_ns * PS_PER_NS)
+    sigma = HBAR_UEV_PS / (t2_star_ns * PS_PER_NS)
+    if math.isinf(sigma):
+        raise ValueError(f"sigma must be finite, got hbar/T2* = inf from t2_star={t2_star_ns!r}")
+    return sigma
 
 
 def k_from_g2(g2_xx: float, g2_x: float, eta_p: float) -> float:
@@ -94,10 +97,12 @@ def k_from_g2(g2_xx: float, g2_x: float, eta_p: float) -> float:
 
 
 def coherence_loss(params: PhysicalParams) -> float:
-    """Time-averaged exciton coherence loss 1 - exp(-(T1/T2*)^2), with
-    T1/T2* = T1 sigma/hbar."""
-    ratio = params.t1 * params.sigma / HBAR_UEV_PS
-    return float(-np.expm1(-(ratio * ratio)))
+    """Exciton coherence loss estimate 1 - exp(-(T1/T2*)^2), T1/T2* = r/2 of
+    :func:`_scaled`. It is not the model's averaged loss 1 - <L> at s = 0
+    (Gauss-Hermite 64): 0.0078 against 0.0287 at T1 = 230 ps and T2* =
+    2.6 ns, and 0.059 against 0.155 at 420 ps and 1.7 ns."""
+    half_r = 0.5 * _scaled(params, None)[1]
+    return float(-np.expm1(-(half_r * half_r)))
 
 
 def analytic_fidelity(params: PhysicalParams) -> float:
@@ -113,9 +118,9 @@ def analytic_fidelity(params: PhysicalParams) -> float:
     430 ps, k = 0.99) at sigma = 0. The CLI reports both values side by
     side.
     """
-    s, sigma, t1, k = params.s, params.sigma, params.t1, params.k
-    lorentz = 1.0 / (1.0 + 4.0 * t1 * t1 * (s * s + sigma * sigma) / HBAR_UEV_PS**2)
-    return 0.25 * (1.0 + k + 2.0 * k * lorentz)
+    p, r, _, _ = _scaled(params, None)
+    lorentz = 1.0 / (1.0 + 4.0 * p * p + r * r)
+    return 0.25 * (1.0 + params.k + 2.0 * params.k * lorentz)
 
 
 @dataclass(frozen=True)
@@ -244,79 +249,82 @@ class SimConfig:
 CHUNK_SAMPLES = 65_536
 
 # Rows of the _moments workspace. Rows 0-2 are the summed rows A, M and K;
-# a window's rows 3 and 4 hold beta, then 1 - M, and t = tan(beta) and r.
+# a window's rows 3 and 4 hold beta, then 1 - M, and t = tan(beta) and tau.
 _WORK_ROWS = 5
 _BETA_RANGE = (sys.float_info.min, sys.float_info.max)
 
 
-def _moments(s: float, shifts: np.ndarray, t1: float, window: float | None,
+def _scaled(params: PhysicalParams, window: float | None) -> tuple[float, float, float, float]:
+    """The one unit conversion of the averages: p = T1 s/hbar,
+    r = 2 T1 sigma/hbar = 2 T1/T2*, a = W/T1 and rho_w = W sigma/hbar.
+    Without a window a = inf, so exp(-a) = 0 selects the unwindowed sums.
+    r and rho_w are clipped to the largest double, so the node z = 0 of an
+    odd rule meets no inf x 0; rho_w is 0 where W/hbar underflows."""
+    q = 2.0 * (params.t1 / HBAR_UEV_PS)
+    r = min(q * params.sigma, sys.float_info.max)
+    if window is None:
+        return q * (0.5 * params.s), r, math.inf, 0.0
+    rho_w = min((window / HBAR_UEV_PS) * params.sigma, sys.float_info.max)
+    return q * (0.5 * params.s), r, window / params.t1, rho_w
+
+
+def _moments(z: np.ndarray, p: float, r: float, a: float, rho_w: float,
              weights, work: np.ndarray | None = None) -> np.ndarray:
-    """The four weighted sums over shifts that the averaged state reads:
-    <1>, <Re g>, <x^2 (1 - Re g)> and <Im g x>.
+    """The four weighted sums <1>, <Re g>, <x^2 (1 - Re g)> and <Im g x>
+    the state reads, over N(0, 1) values z of the shifts h = sigma z.
 
-    With E = sqrt(s^2/4 + h^2) and x = s/(2E); g is the emission phase
-    average at the exciton splitting 2E: the average of exp(-i 2E t/hbar)
-    over the delay density exp(-t/T1)/T1, truncated to [0, W] and
-    renormalized when a window W is given. Every sum is even in h, so h
-    and -h give the same bytes: the sums are those of the shift set
-    symmetrized about 0, whose odd sums <xy (1 - Re g)> and <Im g y>, with
-    y = h/E, are 0. weights is an array matching shifts or a scalar; an
-    array multiplies the summed rows, a scalar the sums. Every per-sample
-    intermediate is written into work[:, :n], a C-contiguous float64 array
-    of _WORK_ROWS rows and at least n = shifts.size columns, 5 x 65,536 x
-    8 B = 2.5 MiB at the Monte Carlo chunk size; none is complex. The Monte
-    Carlo engine passes one for all its chunks; without one the call makes
-    its own. The sums are one ufunc sum over a contiguous block of rows, not
-    a matrix product, which would hand them to a multi-threaded BLAS.
+    With p, r, a and rho_w from :func:`_scaled`, E = sqrt(s^2/4 + h^2) and
+    x = s/(2E), g is the average of exp(-i 2E t/hbar) over the delay
+    density exp(-t/T1)/T1, truncated to [0, W] and renormalized when a
+    window W is given. Every sum is even in z, so z and -z give the same
+    bytes and the odd sums <xy (1 - Re g)> and <Im g y>, y = h/E, are 0.
+    weights is an array matching z or a scalar; an array multiplies the
+    summed rows, a scalar the sums. Per-sample intermediates, none complex,
+    go into work[:, :n], float64 and C-contiguous with _WORK_ROWS rows and
+    at least n = z.size columns, made when not given. The sums are one
+    ufunc sum over a block of rows, not a matrix product, which would hand
+    them to a multi-threaded BLAS.
 
-    The kernel first forms L from the row q h, q = 2 T1/hbar: over all
-    delays g = 1/(1 + i w), w = q E, so Re g = L = 1/(1 + p^2 + (q h)^2),
-    p = q s/2, and as x^2 = p^2/w^2 and 1 - L = w^2 L: x^2 (1 - Re g) =
-    p^2 L and x Im g = -p L. A window multiplies g by 1 + kappa (1 -
-    exp(-2 i beta)), kappa = 1/expm1(a), a = W/T1, with the angle
-    beta = E W/hbar = sqrt((h W/hbar)^2 + (s W/(2 hbar))^2) formed from the
-    shifts. With t = tan(beta), r = t/beta, u = 1/(1 + t^2),
-    c2 = a/expm1(a), J = c2 r u, K = c2 a r^2 u/2, M = J + K and
-    A = L (1 - M), this is exactly Re g = A + M, x^2 (1 - Re g) = p^2 A
-    and x Im g = -p (A + K), so the kernel sums the rows A, M and K. beta
-    is clipped to the normal doubles: r = 1 at E = 0, the limit
-    beta -> 0, and an overflowed beta keeps tan finite and M ~ 0. A double
-    is >= ~4.7e-19 from a pole of tan, so t^2 is finite. c2 = 1 where a
-    underflows to 0. With no window, or one so long that exp(-W/T1) is 0,
-    only A = L is summed. L = 1 at E = 0 and 0 where (q h)^2 overflows;
-    the sums are finite while p^2 = (T1 s/hbar)^2 is, and while no
-    infinite shift meets a W/hbar that underflows to 0 (inf x 0 = nan).
+    Over all delays g = 1/(1 + i w), w = 2 E T1/hbar, so Re g = L =
+    1/(1 + p^2 + (r z)^2), and as x^2 = p^2/w^2 and 1 - L = w^2 L:
+    x^2 (1 - Re g) = p^2 L and x Im g = -p L. A window multiplies g by
+    1 + kappa (1 - exp(-2 i beta)), kappa = 1/expm1(a), with the angle
+    beta = E W/hbar = sqrt((rho_w z)^2 + (a p/2)^2). With t = tan(beta),
+    tau = t/beta, u = 1/(1 + t^2), c2 = a/expm1(a), J = c2 tau u,
+    K = c2 a tau^2 u/2, M = J + K and A = L (1 - M), this is exactly
+    Re g = A + M, x^2 (1 - Re g) = p^2 A and x Im g = -p (A + K), so the
+    kernel sums the rows A, M and K. beta is clipped to the normal doubles:
+    tau = 1 at E = 0, and an overflowed beta keeps tan finite and M ~ 0. A
+    double is >= ~4.7e-19 from a pole of tan, so t^2 is finite. c2 = 1
+    where a underflows to 0. Where exp(-a) = 0, only A = L is summed. L = 1
+    at E = 0 and 0 where (r z)^2 overflows; the sums are finite while p^2 is.
     """
-    n = shifts.size
+    n = z.size
     if work is None:
         work = np.empty((_WORK_ROWS, n))
-    q = 2.0 * (t1 / HBAR_UEV_PS)
-    p = q * (0.5 * s)
-    decay = 0.0 if window is None else math.exp(-window / t1)
+    decay = math.exp(-a)
     rows = work[:3 if decay else 1, :n]
     lorentz = rows[0]
-    np.multiply(shifts, q, out=lorentz)  # q h
+    np.multiply(z, r, out=lorentz)  # r z
     np.multiply(lorentz, lorentz, out=lorentz)
     np.add(lorentz, 1.0 + p * p, out=lorentz)
     np.reciprocal(lorentz, out=lorentz)  # L
     if decay:
-        a = window / t1
         c2 = a * decay / -math.expm1(-a) if a else 1.0
-        m, k, beta, r = rows[1], rows[2], work[3, :n], work[4, :n]
-        w_hbar = window / HBAR_UEV_PS
-        np.multiply(shifts, w_hbar, out=beta)  # h W/hbar
+        m, k, beta, tau = rows[1], rows[2], work[3, :n], work[4, :n]
+        np.multiply(z, rho_w, out=beta)  # h W/hbar
         np.multiply(beta, beta, out=beta)
-        np.add(beta, (0.5 * s * w_hbar) * (0.5 * s * w_hbar), out=beta)
+        np.add(beta, (0.5 * a * p) * (0.5 * a * p), out=beta)
         np.sqrt(beta, out=beta)  # beta = E W/hbar
         beta.clip(*_BETA_RANGE, out=beta)
-        np.tan(beta, out=r)
-        np.multiply(r, r, out=k)
+        np.tan(beta, out=tau)
+        np.multiply(tau, tau, out=k)
         np.add(k, 1.0, out=k)
         np.reciprocal(k, out=k)  # u
-        np.divide(r, beta, out=r)  # r
-        np.multiply(k, r, out=k)  # r u
+        np.divide(tau, beta, out=tau)  # tau
+        np.multiply(k, tau, out=k)  # tau u
         np.multiply(k, c2, out=m)  # J
-        np.multiply(k, r, out=k)
+        np.multiply(k, tau, out=k)
         np.multiply(k, 0.5 * c2 * a, out=k)  # K
         np.add(m, k, out=m)  # M
         np.subtract(1.0, m, out=beta)
@@ -360,9 +368,8 @@ def overhauser_samples(seed: int, n: int, start: int = 0) -> np.ndarray:
     start // 4 blocks, draws n + start % 4 words and skips the first
     start % 4. n and start are integers, n >= 1 and start >= 0.
 
-    Averages draw each chunk's normals once and scale them by each point's
-    sigma (see :func:`monte_carlo_rhos`). scipy.special is imported on the
-    first call, so importing the package loads no scipy module.
+    scipy.special is imported on the first call, so importing the package
+    loads no scipy module.
     """
     from scipy.special import ndtri
 
@@ -412,8 +419,7 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
     deterministic quadrature nodes, as one chunk. The multi-pair mixing
     channel is not applied here, see :func:`apply_multipair_mixing`.
 
-    This is the one-point case of :func:`monte_carlo_rhos`, which draws
-    each chunk's standard normals once and scales them by sigma; a point
+    This is the one-point case of :func:`monte_carlo_rhos`; a point
     averaged alone or as part of a grid gives the same bytes.
 
     Phase convention: with u and v the pair vectors conj(e) (x) e through
@@ -429,16 +435,14 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
 def monte_carlo_rhos(points) -> list[np.ndarray]:
     """:func:`monte_carlo_rho` for each (PhysicalParams, SimConfig) pair.
 
-    Points that draw nothing take one kernel call each, on the shifts
-    sigma z of the N(0, 1) rule of :func:`_normal_rule`: the gh_order rule,
-    or at sigma = 0 the one node z = 0 of weight 1. The Monte Carlo points
-    must share seed and n_samples, so they share one sampler stream: each
-    chunk of standard normals z = ndtri(u) is drawn once, and each point in
-    turn adds the four moments of its shifts sigma z to one float
-    (points, 4) array. Only one chunk of normals is held at a time, and
-    every point's moments are computed in one float64 workspace made per
-    call: _WORK_ROWS + 1 = 6 rows of up to CHUNK_SAMPLES columns,
-    6 x 65,536 x 8 B = 3 MiB, the last row holding the scaled shifts.
+    Points that draw nothing take one kernel call each, on the N(0, 1)
+    rule of :func:`_normal_rule`: the gh_order rule, or at sigma = 0 the
+    one node z = 0 of weight 1. The Monte Carlo points must share seed and
+    n_samples, so they share one sampler stream: each chunk of standard
+    normals z = ndtri(u) is drawn once, and each point in turn adds its
+    moments of it to one float (points, 4) array. One chunk of normals is
+    held at a time, and every kernel call writes into one float64 workspace
+    of _WORK_ROWS x CHUNK_SAMPLES, 2.5 MiB, made per call.
     """
     points = list(points)
     rhos = [None] * len(points)
@@ -448,8 +452,7 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
             sampled.append(i)
             continue
         nodes, weights = _normal_rule(config.gh_order if params.sigma else 1)
-        rhos[i] = _rho_from_moments(_moments(params.s, params.sigma * nodes, params.t1,
-                                             config.window, weights))
+        rhos[i] = _rho_from_moments(_moments(nodes, *_scaled(params, config.window), weights))
     if not sampled:
         return rhos
     streams = {(points[i][1].seed, points[i][1].n_samples) for i in sampled}
@@ -457,16 +460,13 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
         raise ValueError("Monte Carlo points must share seed and n_samples, got "
                          f"{sorted(streams)}")
     ((seed, n),) = streams
+    scaled = [_scaled(points[i][0], points[i][1].window) for i in sampled]
     sums = np.zeros((len(sampled), 4))
-    work = np.empty((_WORK_ROWS + 1, min(n, CHUNK_SAMPLES)))
-    kernel_work, shift_row = work[:_WORK_ROWS], work[_WORK_ROWS]
+    work = np.empty((_WORK_ROWS, min(n, CHUNK_SAMPLES)))
     for start in range(0, n, CHUNK_SAMPLES):
         normals = overhauser_samples(seed, min(CHUNK_SAMPLES, n - start), start)
-        shifts = shift_row[:normals.size]
-        for j, i in enumerate(sampled):
-            params, config = points[i]
-            np.multiply(params.sigma, normals, out=shifts)
-            sums[j] += _moments(params.s, shifts, params.t1, config.window, 1.0, kernel_work)
+        for j, point in enumerate(scaled):
+            sums[j] += _moments(normals, *point, 1.0, work)
     for j, i in enumerate(sampled):
         rhos[i] = _rho_from_moments(sums[j] / n)
     return rhos

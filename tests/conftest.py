@@ -3,7 +3,8 @@ Hamiltonian/propagator reference model of the cascade, the per-sample
 outer-product oracle of the spin-noise average, the complex128 emission
 phase average that the reference moments are built from, reference
 entanglement figures, the single figures of the package's metrics bundle,
-and a thin wrapper that calls the package's private moment kernel."""
+and a thin wrapper that calls the package's private moment kernel in
+physical units."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix
 from qdcascade.metrics import metrics_from_rho
-from qdcascade.model import _moments, _rho_from_moments
+from qdcascade.model import PhysicalParams, _moments, _rho_from_moments, _scaled
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -197,12 +198,21 @@ def closed_form_phase_average(delta, t1: float, window=None) -> np.ndarray:
     return (np.expm1(-x) / x) / (np.expm1(-a) / a)
 
 
+def physical_moments(s: float, shifts, t1: float, window, weights, work=None) -> np.ndarray:
+    """The package's moment kernel at the Overhauser shifts (ueV) of a dot
+    with splitting s (ueV) and lifetime t1 (ps), under an optional window
+    (ps): the shifts are read as N(0, 1) values of sigma = 1 ueV, so the
+    kernel's constants are r = 2 T1/hbar and rho_w = W/hbar."""
+    point = _scaled(PhysicalParams(s=s, t1=t1, sigma=1.0, k=1.0), window)
+    return _moments(shifts, *point, weights, work)
+
+
 def fixed_shift_rho(s: float, h_z: float, t1: float, window=None) -> np.ndarray:
     """The package's state at the Overhauser shift pair +-h_z, weight 1/2
     each, averaged over emission times: the kernel's moments are even in
     the shift, so this is also its one-shift, unit-weight state."""
     shifts = np.array([float(h_z), -float(h_z)])
-    return _rho_from_moments(_moments(s, shifts, t1, window, 0.5))
+    return _rho_from_moments(physical_moments(s, shifts, t1, window, 0.5))
 
 
 def concurrence_pure(psi) -> float:

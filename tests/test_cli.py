@@ -618,6 +618,18 @@ class TestNumberInputs:
         assert f"'{key}' in {section}" in captured.err
         assert captured.out == ""
 
+    def test_t2_star_whose_sigma_overflows(self, tmp_path, capsys):
+        # Below about 3.7e-309 ns, hbar/T2* is inf; unchecked, the average
+        # exited 3 on a non-finite state.
+        spec = write_spec(tmp_path,
+                          params={"s_ueV": 0.4, "t1_ps": 430.0, "t2_star_ns": 1e-320, "k": 0.99},
+                          config={"quadrature": "gauss_hermite", "gh_order": 33})
+        assert main(["simulate", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: invalid params: sigma must be finite, got hbar/T2* = inf "
+                                "from t2_star=1e-320\n")
+        assert captured.out == ""
+
     def test_window_sweep_nan_window(self, tmp_path, capsys):
         spec = write_spec(tmp_path)
         assert main(["window-sweep", str(spec), "--windows", "nan"]) == 2

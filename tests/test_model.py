@@ -21,6 +21,7 @@ from conftest import (
     fidelity_phi_plus,
     fixed_shift_rho,
     outer_product_rho,
+    physical_moments,
     propagate_rho,
     purity,
     random_density_matrix,
@@ -49,6 +50,7 @@ from qdcascade.model import (
     _normal_rule,
     _philox,
     _rho_from_moments,
+    _scaled,
 )
 from qdcascade.tomography import (
     CountRecord,
@@ -230,7 +232,7 @@ class TestTimeAveragedRho:
         def g(window):
             # At s = delta and h = 0, x = 1: the moments are (1, Re g,
             # 1 - Re g, Im g).
-            moments = _moments(delta, np.zeros(1), t1, window, 1.0)
+            moments = physical_moments(delta, np.zeros(1), t1, window, 1.0)
             assert abs(moments[2] - (1.0 - moments[1])) < 1e-15
             return complex(moments[1], moments[3])
 
@@ -241,8 +243,8 @@ class TestTimeAveragedRho:
         # huge window recovers the unwindowed average
         assert abs(g(1e9) - value) < 1e-14
         # an array of shifts, one of them the degenerate point E = 0
-        assert _moments(0.0, np.zeros(1), t1, None, 1.0).tolist() == [1.0, 1.0, 0.0, 0.0]
-        both = _moments(0.0, np.array([0.0, 0.5 * delta]), t1, None, 1.0)
+        assert physical_moments(0.0, np.zeros(1), t1, None, 1.0).tolist() == [1.0, 1.0, 0.0, 0.0]
+        both = physical_moments(0.0, np.array([0.0, 0.5 * delta]), t1, None, 1.0)
         assert abs(both[1] - (1.0 + value.real)) < 1e-15
 
     def test_windowed_phase_average_at_small_window(self):
@@ -277,12 +279,12 @@ class TestTimeAveragedRho:
         for moments, expected in pair_moments(deltas, t1, window):
             assert np.abs(moments - expected).max() <= 2e-15
         for delta in deltas:
-            moments = _moments(abs(delta), np.zeros(1), t1, window, 1.0)  # x = 1
+            moments = physical_moments(abs(delta), np.zeros(1), t1, window, 1.0)  # x = 1
             assert abs(complex(moments[1], moments[3])) <= 1.0 + 2 * np.finfo(float).eps
-            shift = _moments(0.0, np.array([0.5 * delta]), t1, window, 1.0)
-            assert _moments(0.0, np.array([-0.5 * delta]), t1, window, 1.0).tobytes() == \
+            shift = physical_moments(0.0, np.array([0.5 * delta]), t1, window, 1.0)
+            assert physical_moments(0.0, np.array([-0.5 * delta]), t1, window, 1.0).tobytes() == \
                 shift.tobytes()
-        assert _moments(0.0, np.zeros(1), t1, window, 1.0).tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert physical_moments(0.0, np.zeros(1), t1, window, 1.0).tolist() == [1.0, 1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("t1, window", [(50.0, 1.0), (430.0, 350.0), (2000.0, 3000.0),
                                             (430.0, 1e5)])
@@ -370,7 +372,7 @@ class TestMomentAverage:
         shifts = np.concatenate([[0.0], rng.normal(scale=rng.uniform(0.05, 2.0), size=999)])
         weights = rng.uniform(size=shifts.size)
         weights /= weights.sum()
-        moment = _rho_from_moments(_moments(s, shifts, 430.0, window, weights))
+        moment = _rho_from_moments(physical_moments(s, shifts, 430.0, window, weights))
         expected = outer_product_rho(s, np.concatenate([shifts, -shifts]), 430.0, window,
                                      np.concatenate([weights, weights]) / 2)
         assert np.abs(moment - expected).max() <= 1e-13
@@ -386,7 +388,7 @@ class TestMomentAverage:
         params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=1.0)
         config = SimConfig(n_samples=n, seed=2024, window=350.0)
         shifts = params.sigma * overhauser_samples(config.seed, n)
-        whole = _rho_from_moments(_moments(params.s, shifts, params.t1, config.window,
+        whole = _rho_from_moments(physical_moments(params.s, shifts, params.t1, config.window,
                                            np.full(n, 1.0 / n)))
         assert np.abs(monte_carlo_rho(params, config) - whole).max() <= 1e-13
 
@@ -438,7 +440,7 @@ class TestMomentAverage:
         config = SimConfig(n_samples=3_000, seed=17, window=window, quadrature=quadrature)
         if quadrature == "gauss_hermite":
             nodes, weights = _normal_rule(config.gh_order)
-            m = _moments(s, sigma * nodes, t1, window, weights)
+            m = _moments(nodes, *_scaled(params, window), weights)
         else:
             m = per_point_moments(params, config)
         fidelity = metrics_from_rho(_rho_from_moments(m)).fidelity
@@ -469,7 +471,7 @@ def pair_moments(deltas, t1, window, phase_average=closed_form_phase_average):
     for delta in np.ravel(deltas):
         for s, h in ((abs(delta), 0.0), (0.0, 0.5 * delta)):
             shifts = np.array([h, -h])
-            yield (_moments(s, shifts, t1, window, 0.5),
+            yield (physical_moments(s, shifts, t1, window, 0.5),
                    reference_moments(s, shifts, t1, window, 0.5, phase_average))
 
 
@@ -524,8 +526,8 @@ class TestMomentKernel:
         for shifts in self.chunks():
             weights = np.linspace(0.5, 1.5, shifts.size)
             for w in (1.0, weights):
-                used = _moments(s, shifts, 430.0, window, w, work)
-                fresh = _moments(s, shifts, 430.0, window, w)
+                used = physical_moments(s, shifts, 430.0, window, w, work)
+                fresh = physical_moments(s, shifts, 430.0, window, w)
                 assert used.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("window", WINDOWS)
@@ -536,7 +538,7 @@ class TestMomentKernel:
         # weights' sum, with and without a window.
         for shifts in self.chunks():
             for w in (1.0, np.linspace(0.5, 1.5, shifts.size)):
-                moments = _moments(s, shifts, 430.0, window, w)
+                moments = physical_moments(s, shifts, 430.0, window, w)
                 expected = reference_moments(s, shifts, 430.0, window, w)
                 self.assert_sums_close(moments, expected, w, shifts.size)
 
@@ -558,7 +560,7 @@ class TestMomentKernel:
         else:
             nodes, weights = _normal_rule(order)
             shifts = sigma * nodes
-        moments = _moments(s, shifts, t1, None, weights)
+        moments = physical_moments(s, shifts, t1, None, weights)
         expected = reference_moments(s, shifts, t1, None, weights)
         self.assert_sums_close(moments, expected, weights, shifts.size)
 
@@ -580,7 +582,7 @@ class TestMomentKernel:
                         w = np.broadcast_to(weights, shifts.shape).astype(np.longdouble)
                         rows = longdouble_moment_rows(s, shifts, t1, window)
                         expected = [w.sum()] + [(w * row).sum() for row in rows]
-                        moments = _moments(s, shifts, t1, window, weights)
+                        moments = physical_moments(s, shifts, t1, window, weights)
                         error = max(abs(np.longdouble(m) - e) for m, e in zip(moments, expected))
                         assert error <= 1e-15 * w.sum()
 
@@ -588,7 +590,7 @@ class TestMomentKernel:
         # Above T1 = ~4.4e156 ps, c = (2 T1/hbar)^2 overflows while p =
         # T1 s/hbar need not: at s = 3e-154 ueV and h = 0, Re g is 0.046.
         shifts = np.zeros(1)
-        moments = _moments(3e-154, shifts, 1e157, None, 1.0)
+        moments = physical_moments(3e-154, shifts, 1e157, None, 1.0)
         self.assert_sums_close(moments, reference_moments(3e-154, shifts, 1e157, None, 1.0),
                                1.0, 1)
         assert abs(moments[1] - 0.0459) < 1e-4
@@ -598,13 +600,13 @@ class TestMomentKernel:
         # s = h = 0: x = 1 and g = 1.
         w = float(np.sum(weight))
         for t1 in (20.0, 430.0, 3000.0):
-            moments = _moments(0.0, np.zeros(1), t1, None, weight)
+            moments = physical_moments(0.0, np.zeros(1), t1, None, weight)
             assert moments.tolist() == [w, w, 0.0, 0.0]
             # At s = 1e-170 ueV, s^2 underflows to 0: the same point.
-            moments = _moments(1e-170, np.zeros(1), t1, None, weight)
+            moments = physical_moments(1e-170, np.zeros(1), t1, None, weight)
             self.assert_sums_close(moments, [w, w, 0.0, 0.0], weight, 1)
             # At s = 1e-160 ueV, s^2/4 is subnormal.
-            rho = _rho_from_moments(_moments(1e-160, np.zeros(1), t1, None, weight) / w)
+            rho = _rho_from_moments(physical_moments(1e-160, np.zeros(1), t1, None, weight) / w)
             assert np.abs(rho - PHI_PLUS_RHO).max() <= 1e-15
 
     @pytest.mark.parametrize("order", [3, 33, 63])
@@ -613,7 +615,7 @@ class TestMomentKernel:
         # g = 1; every other node has x = 0, so the two sums holding x are 0.
         nodes, weights = _normal_rule(order)
         assert nodes[order // 2] == 0.0
-        moments = _moments(0.0, 0.41 * nodes, 430.0, None, weights)
+        moments = physical_moments(0.0, 0.41 * nodes, 430.0, None, weights)
         assert moments[[2, 3]].tolist() == [0.0, 0.0]
         expected = reference_moments(0.0, 0.41 * nodes, 430.0, None, weights)
         self.assert_sums_close(moments, expected, weights, order)
@@ -631,9 +633,9 @@ class TestMomentKernel:
         # vector, in both branches and for array and scalar weights.
         shifts = np.array(shifts)
         weights = np.linspace(0.5, 1.5, shifts.size) if uneven else 0.7
-        moments = _moments(s, shifts, t1, window, weights)
+        moments = physical_moments(s, shifts, t1, window, weights)
         assert moments.shape == (4,)
-        assert _moments(s, -shifts, t1, window, weights).tobytes() == moments.tobytes()
+        assert physical_moments(s, -shifts, t1, window, weights).tobytes() == moments.tobytes()
 
 
 class TestMonteCarloRho:
@@ -679,7 +681,7 @@ class TestMonteCarloRho:
         x, w = np.polynomial.hermite.hermgauss(24)
         fresh_nodes, fresh_weights = np.sqrt(2.0) * x, w / np.sqrt(np.pi)
         assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
-        uncached = _rho_from_moments(_moments(0.6, 0.5 * fresh_nodes, 430.0, None, fresh_weights))
+        uncached = _rho_from_moments(_moments(fresh_nodes, *_scaled(params, None), fresh_weights))
         assert np.array_equal(first, uncached)
         assert np.array_equal(monte_carlo_rho(params, config), first)
 
@@ -743,15 +745,48 @@ class TestMonteCarloRho:
             values = [fid(s, sigma, t1) for t1 in (100.0, 300.0, 700.0)]
             assert np.all(np.diff(values) <= 1e-12)
 
+    # The model reads s, sigma, T1 and W only through p = T1 s/hbar,
+    # r = 2 T1 sigma/hbar and a = W/T1 (rho_w = W sigma/hbar = a r/2), so
+    # scaling T1 and W by lam and s and sigma by 1/lam keeps the state. A
+    # power of two scales each factor of the constants exactly.
+    SCALE_INPUTS = {
+        "s": st.one_of(st.just(0.0), st.floats(1e-3, 20.0)),
+        "sigma": st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+        "t1": st.floats(20.0, 3000.0),
+        "window": st.one_of(st.none(), st.floats(1e-3, 1e5)),
+        "quadrature": st.sampled_from(QUADRATURE_MODES),
+    }
+
+    @staticmethod
+    def scaled_states(s, sigma, t1, window, quadrature, lam):
+        config = SimConfig(n_samples=2_000, seed=37, window=window, quadrature=quadrature)
+        state = monte_carlo_rho(PhysicalParams(s=s, t1=t1, sigma=sigma, k=1.0), config)
+        scaled = monte_carlo_rho(PhysicalParams(s=s / lam, t1=t1 * lam, sigma=sigma / lam, k=1.0),
+                                 replace(config, window=None if window is None else window * lam))
+        return state, scaled
+
+    @hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
+    @given(exponent=st.integers(-20, 20), **SCALE_INPUTS)
+    def test_power_of_two_scale_keeps_the_bytes(self, s, sigma, t1, window, quadrature, exponent):
+        state, scaled = self.scaled_states(s, sigma, t1, window, quadrature, 2.0**exponent)
+        assert scaled.tobytes() == state.tobytes()
+
+    @hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
+    @given(lam=st.floats(0.1, 10.0), **SCALE_INPUTS)
+    def test_any_scale_keeps_the_state(self, s, sigma, t1, window, quadrature, lam):
+        state, scaled = self.scaled_states(s, sigma, t1, window, quadrature, lam)
+        assert np.abs(scaled - state).max() <= 1e-15
+
 
 def per_point_moments(params, config):
-    """The per-point Monte Carlo loop: each point draws its own shifts
-    sigma * ndtri(u), chunk by chunk, and averages their moments."""
+    """The per-point Monte Carlo loop: each point draws its own normals
+    ndtri(u), chunk by chunk, and averages their moments."""
     sums = np.zeros(4)
     n = config.n_samples
+    point = _scaled(params, config.window)
     for start in range(0, n, CHUNK_SAMPLES):
         normals = overhauser_samples(config.seed, min(CHUNK_SAMPLES, n - start), start)
-        sums += _moments(params.s, params.sigma * normals, params.t1, config.window, 1.0)
+        sums += _moments(normals, *point, 1.0)
     return sums / n
 
 
@@ -863,13 +898,12 @@ def with_windows(values):
 
 
 class TestSigmaRange:
-    # The kernel reads L = 1/(1 + (T1 s/hbar)^2 + (2 T1 h/hbar)^2): where
-    # 2 T1 h/hbar or its square overflows, L is 0. A window's angle
-    # beta = E W/hbar is formed from the shifts times W/hbar, so it
-    # overflows only where beta itself does; it is then clipped to the
-    # largest double, where the window rows are ~0. With or without a
-    # window, the average stays finite for any sigma, unless W/hbar
-    # underflows to 0 where a shift sigma z overflows.
+    # The kernel reads L = 1/(1 + p^2 + (r z)^2), r z = 2 T1 h/hbar: where
+    # r z or its square overflows, L is 0. A window's angle beta = E W/hbar
+    # is formed from rho_w z, rho_w = W sigma/hbar, so it overflows only
+    # where beta itself does; it is then clipped to the largest double,
+    # where the window rows are ~0. r and rho_w are finite, and z is, so
+    # with or without a window the average stays finite for any sigma.
     CONFIGS = TestWindowRange.CONFIGS
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -884,8 +918,8 @@ class TestSigmaRange:
     @pytest.mark.parametrize("s, window", with_windows([0.0, 1e-3, 0.4]))
     def test_huge_sigma_gauss_hermite_keeps_the_middle_node(self, s, window):
         # Only the node at h = 0, of weight w, keeps its coherence:
-        # F = (1 + w Re g(s/2))/2. From sigma = 1.3e308 the outer shifts
-        # sigma z overflow to inf, and the middle node stays at h = 0.
+        # F = (1 + w Re g(s/2))/2. The outer rows r z overflow to inf, and
+        # the middle node stays at z = 0 up to the largest sigma.
         config = replace(self.CONFIGS["gauss_hermite"], window=window)
         middle = _normal_rule(33)[1][16]
         re_g = closed_form_phase_average(s, 430.0, window).real
@@ -924,6 +958,25 @@ class TestSigmaRange:
         re_g = closed_form_phase_average(splitting, t1, window).real
         expected = 0.5 * (1.0 + weights @ re_g)
         assert abs(metrics_from_rho(rho).fidelity - expected) <= 1e-15
+
+    # Where W/hbar underflows to 0, so does rho_w, and every value keeps
+    # its coherence: the moments are the Bell limit (1, 1, 0, -0), where an
+    # overflowed shift sigma z times W/hbar = 0 once gave nan.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("window", [1e-321, 5e-324])
+    @pytest.mark.parametrize("rule, sigma", [("gauss_hermite", 3e307), ("monte_carlo", 1.7e308)])
+    def test_window_below_hbar_resolution_is_the_bell_limit(self, rule, sigma, window):
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=sigma, k=1.0)
+        if rule == "gauss_hermite":
+            config = replace(self.CONFIGS[rule], window=window)
+            nodes, weights = _normal_rule(33)
+            moments = _moments(nodes, *_scaled(params, window), weights)
+        else:
+            config = SimConfig(n_samples=1_000, seed=3, window=window)
+            moments = per_point_moments(params, config)
+        assert np.abs(moments - [1.0, 1.0, 0.0, 0.0]).max() <= 4.4e-16
+        rho = assert_density_matrix(monte_carlo_rho(params, config))
+        assert np.abs(rho - PHI_PLUS_RHO).max() <= 1e-15
 
 
 class TestMixing:
@@ -1100,13 +1153,17 @@ class TestPhysicalParams:
         with pytest.raises(ValueError):
             PhysicalParams(s=0.4, t1=430.0, k=0.99)
 
-    # Unchecked, each of these gives a non-finite monte_carlo_rho.
+    # Unchecked, each of these gives a non-finite monte_carlo_rho. Below
+    # about 3.7e-309 ns, hbar/T2* overflows to an infinite sigma.
     @pytest.mark.parametrize("field, value", [
         ("s", math.nan), ("t1", math.inf), ("sigma", math.nan), ("sigma", math.inf),
+        ("t2_star", 1e-320),
     ])
     def test_rejects_non_finite(self, field, value):
         kwargs = {"s": 0.4, "t1": 430.0, "sigma": 0.41, "k": 0.99, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        message = (r"sigma must be finite, got hbar/T2\* = inf from t2_star=1e-320$"
+                   if field == "t2_star" else f"{field} must be finite")
+        with pytest.raises(ValueError, match=message):
             PhysicalParams(**kwargs)
 
     def test_frozen_spin_warning(self):
