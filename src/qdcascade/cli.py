@@ -28,11 +28,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# T2* endpoints (ns) spanning the reported electron coherence times, plus the
-# typical value; they define the sigma columns of the sweep output.
-T2_STAR_LOW_NOISE_NS = 3.2
-T2_STAR_REFERENCE_NS = 1.7
-T2_STAR_HIGH_NOISE_NS = 1.0
+# Sweep column -> T2* in ns: no spin noise, then the long end, the typical
+# value (read by f_closed_form_ref) and the short end of reported T2* values.
+_SWEEP_BANDS = {"f_sigma0": math.inf, "f_sigma_low": 3.2, "f_sigma_ref": 1.7, "f_sigma_high": 1.0}
 
 BASIS_ORDER = "HHHVVHVV"
 
@@ -110,7 +108,8 @@ _CONFIG_TABLE = (
 )
 # A literature entry: the dot, its window, the reported figure and a T2* range.
 _LITERATURE_TABLE = (
-    ("label", "label"), *_PARAMS_TABLE[:2], _CONFIG_TABLE[-1],
+    ("label", "label"),
+    *(pair for pair in _PARAMS_TABLE + _CONFIG_TABLE if pair[1] in ("s", "t1", "window")),
     ("reported_value", "reported_value"), ("reported_metric", "reported_metric"),
     ("t2_star_range_ns", "t2_star_range"),
 )
@@ -206,8 +205,7 @@ def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -243,25 +241,18 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--s-min must not exceed --s-max")
     if args.n_points < 2:
         raise ConfigError("--n-points must be >= 2")
-    sigma_bands = [
-        0.0,
-        model.sigma_from_t2star(T2_STAR_LOW_NOISE_NS),
-        model.sigma_from_t2star(T2_STAR_REFERENCE_NS),
-        model.sigma_from_t2star(T2_STAR_HIGH_NOISE_NS),
-    ]
     s_values = np.linspace(s_min, s_max, args.n_points)
-    points = [[model.PhysicalParams(s=float(s), t1=params.t1, sigma=sigma, k=params.k)
-               for sigma in sigma_bands] for s in s_values]
-    rhos = model.monte_carlo_rhos((point, config) for row in points for point in row)
+    points = [{column: model.PhysicalParams(s=float(s), t1=params.t1, t2_star=t2_star, k=params.k)
+               for column, t2_star in _SWEEP_BANDS.items()} for s in s_values]
+    rhos = model.monte_carlo_rhos((point, config) for row in points for point in row.values())
     mixed = (model.apply_multipair_mixing(rho, params.k) for rho in rhos)
     grid = np.reshape([metrics.metrics_from_rho(rho).fidelity for rho in mixed],
-                      (s_values.size, len(sigma_bands)))
+                      (s_values.size, len(_SWEEP_BANDS)))
     rows = []
     for s, row, fidelities in zip(s_values, points, grid):
-        closed_form = model.analytic_fidelity(row[2])  # the reference-noise point
+        closed_form = model.analytic_fidelity(row["f_sigma_ref"])
         rows.append([_fmt(s)] + [_fmt(f) for f in fidelities] + [_fmt(closed_form)])
-    header = ["S_ueV", "f_sigma0", "f_sigma_low", "f_sigma_ref", "f_sigma_high",
-              "f_closed_form_ref"]
+    header = ["S_ueV", *_SWEEP_BANDS, "f_closed_form_ref"]
     _write_text(_csv_text(header, rows), args.out)
     return EXIT_OK
 
@@ -369,16 +360,11 @@ def cmd_tomography(args) -> int:
     }
     exit_code = EXIT_OK
     if args.mode == "six_basis":
-        by_label = {r.setting.label: r for r in records}
-        c_hv = tomography.visibility(by_label["HH"], by_label["HV"])
-        c_da = tomography.visibility(by_label["DD"], by_label["DA"])
-        c_rl = tomography.visibility(by_label["RR"], by_label["RL"])
-        doc["fidelity_estimate"] = {
-            "c_hv": c_hv,
-            "c_da": c_da,
-            "c_rl": c_rl,
-            "fidelity": tomography.fidelity_from_visibilities(c_hv, c_da, c_rl),
-        }
+        # The settings come as co/cross pairs: HH/HV, DD/DA and RR/RL.
+        pairs = zip(("c_hv", "c_da", "c_rl"), records[::2], records[1::2])
+        estimate = {name: tomography.visibility(co, cross) for name, co, cross in pairs}
+        estimate["fidelity"] = tomography.fidelity_from_visibilities(**estimate)
+        doc["fidelity_estimate"] = estimate
     else:
         result = tomography.mle_reconstruct(records, max_iterations=args.max_iterations)
         fit = asdict(result)

@@ -84,8 +84,8 @@ def k_from_g2(g2_xx: float, g2_x: float, eta_p: float) -> float:
     """Single-pair fraction from the two autocorrelations and the inversion
     efficiency: k = 1 - (g2_xx + g2_x)/2 * eta_p.
 
-    The closed interval [0, 1] is accepted for the autocorrelations so the
-    degenerate bound k = 0 stays representable.
+    k = 0 at g2_xx = g2_x = eta_p = 1, the closed bounds of the inputs;
+    :class:`PhysicalParams` rejects that k, naming these three inputs.
     """
     _reject_bools(g2_xx=g2_xx, g2_x=g2_x, eta_p=eta_p)
     for name, value in (("g2_xx", g2_xx), ("g2_x", g2_x)):
@@ -169,29 +169,18 @@ class PhysicalParams:
         if self.sigma is not None and self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if self.t2_star is not None:
-            implied = sigma_from_t2star(self.t2_star)
-            if self.sigma is None:
-                object.__setattr__(self, "sigma", implied)
-            elif abs(self.sigma - implied) > SIGMA_MATCH_TOL:
-                raise ValueError(
-                    f"sigma={self.sigma} disagrees with hbar/T2* = {implied:.6f} ueV"
-                )
+            self._resolve("sigma", sigma_from_t2star(self.t2_star), "hbar/T2*", " ueV")
+        k_source = "k"
         g2_inputs = (self.g2_xx, self.g2_x, self.eta_p)
         if g2_inputs != (None, None, None):
             for name, value in zip(("g2_xx", "g2_x", "eta_p"), g2_inputs):
                 if value is None:
                     raise ValueError(f"{name} is missing: give all of g2_xx, g2_x and eta_p")
-            implied = k_from_g2(*g2_inputs)
-            if self.k is None:
-                object.__setattr__(self, "k", implied)
-            elif abs(self.k - implied) > SIGMA_MATCH_TOL:
-                raise ValueError(
-                    f"k={self.k} disagrees with k from g2_xx, g2_x and eta_p = {implied:.6f}"
-                )
+            k_source = self._resolve("k", k_from_g2(*g2_inputs), "k from g2_xx, g2_x and eta_p")
         elif self.k is None:
             raise ValueError("provide k, or all of g2_xx, g2_x and eta_p")
         if not 0.0 < self.k <= 1.0:
-            raise ValueError("k must lie in (0, 1]")
+            raise ValueError(f"{k_source} must lie in (0, 1]")
         if self.t1_xx is not None and not self.t1_xx > 0:
             raise ValueError("t1_xx must be > 0")
         if self.tau_s is not None:
@@ -203,6 +192,18 @@ class PhysicalParams:
                     "questionable for this dot",
                     stacklevel=3,
                 )
+
+    def _resolve(self, name: str, implied: float, source: str, unit: str = "") -> str:
+        """The agreement rule of two input forms: fill the field from the value
+        its other form implies, or check a given one to SIGMA_MATCH_TOL.
+        Returns the form the value came from, source when filled, else name."""
+        given = getattr(self, name)
+        if given is None:
+            object.__setattr__(self, name, implied)
+            return source
+        if abs(given - implied) > SIGMA_MATCH_TOL:
+            raise ValueError(f"{name}={given} disagrees with {source} = {implied:.6f}{unit}")
+        return name
 
 
 @dataclass(frozen=True)
@@ -435,41 +436,39 @@ def monte_carlo_rho(params: PhysicalParams, config: SimConfig) -> np.ndarray:
 def monte_carlo_rhos(points) -> list[np.ndarray]:
     """:func:`monte_carlo_rho` for each (PhysicalParams, SimConfig) pair.
 
-    Points that draw nothing take one kernel call each, on the N(0, 1)
-    rule of :func:`_normal_rule`: the gh_order rule, or at sigma = 0 the
-    one node z = 0 of weight 1. The Monte Carlo points must share seed and
-    n_samples, so they share one sampler stream: each chunk of standard
-    normals z = ndtri(u) is drawn once, and each point in turn adds its
-    moments of it to one float (points, 4) array. One chunk of normals is
-    held at a time, and every kernel call writes into one float64 workspace
-    of _WORK_ROWS x CHUNK_SAMPLES, 2.5 MiB, made per call.
+    Each point owns one row of a float (points, 4) table of moments, and
+    the states are read from the table alone. A point that draws nothing
+    writes its row in one kernel call on the N(0, 1) rule of
+    :func:`_normal_rule`: the gh_order rule, or at sigma = 0 the one node
+    z = 0 of weight 1. The Monte Carlo points must share seed and
+    n_samples, so they share one sampler stream: each chunk of normals
+    z = ndtri(u) is drawn once, each point adds its moments of it to its
+    row, and those rows are divided by n. One chunk is held at a time, and
+    every kernel call writes into one float64 workspace of _WORK_ROWS x
+    CHUNK_SAMPLES, 2.5 MiB, made per call.
     """
     points = list(points)
-    rhos = [None] * len(points)
-    sampled = []
+    table = np.zeros((len(points), 4))
+    sampled = {}  # row -> scaled constants of each Monte Carlo point
     for i, (params, config) in enumerate(points):
+        scaled = _scaled(params, config.window)
         if params.sigma and config.quadrature == "monte_carlo":
-            sampled.append(i)
+            sampled[i] = scaled
             continue
         nodes, weights = _normal_rule(config.gh_order if params.sigma else 1)
-        rhos[i] = _rho_from_moments(_moments(nodes, *_scaled(params, config.window), weights))
-    if not sampled:
-        return rhos
+        table[i] = _moments(nodes, *scaled, weights)
     streams = {(points[i][1].seed, points[i][1].n_samples) for i in sampled}
     if len(streams) > 1:
         raise ValueError("Monte Carlo points must share seed and n_samples, got "
                          f"{sorted(streams)}")
-    ((seed, n),) = streams
-    scaled = [_scaled(points[i][0], points[i][1].window) for i in sampled]
-    sums = np.zeros((len(sampled), 4))
-    work = np.empty((_WORK_ROWS, min(n, CHUNK_SAMPLES)))
-    for start in range(0, n, CHUNK_SAMPLES):
-        normals = overhauser_samples(seed, min(CHUNK_SAMPLES, n - start), start)
-        for j, point in enumerate(scaled):
-            sums[j] += _moments(normals, *point, 1.0, work)
-    for j, i in enumerate(sampled):
-        rhos[i] = _rho_from_moments(sums[j] / n)
-    return rhos
+    for seed, n in streams:  # none, or the one shared stream
+        work = np.empty((_WORK_ROWS, min(n, CHUNK_SAMPLES)))
+        for start in range(0, n, CHUNK_SAMPLES):
+            normals = overhauser_samples(seed, min(CHUNK_SAMPLES, n - start), start)
+            for i, point in sampled.items():
+                table[i] += _moments(normals, *point, 1.0, work)
+        table[list(sampled)] /= n
+    return [_rho_from_moments(row) for row in table]
 
 
 def apply_multipair_mixing(rho, k: float) -> np.ndarray:

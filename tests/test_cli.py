@@ -209,6 +209,16 @@ class TestSimulate:
         assert doc["params"] == {**reference["params"], "k": 0.99615}
         assert abs(doc["fidelity"] - reference["fidelity"]) < 1e-12
 
+    def test_k_from_g2_out_of_range_names_the_g2_inputs(self, tmp_path, capsys):
+        # g2_xx = g2_x = eta_p = 1 gives k = 0, and the spec gives no k.
+        spec = write_spec(tmp_path, params={"s_ueV": 0.4, "sigma_ueV": 0.41, "t1_ps": 430.0,
+                                            "g2_xx": 1, "g2_x": 1, "eta_p": 1})
+        assert main(["simulate", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: invalid params: k from g2_xx, g2_x and eta_p "
+                                "must lie in (0, 1]\n")
+        assert captured.out == ""
+
     def test_module_entry_point(self, tmp_path):
         spec = write_spec(tmp_path)
         proc = subprocess.run(

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from conftest import (
     concurrence,
@@ -11,9 +16,16 @@ from conftest import (
     random_pure_state,
     random_unitary,
 )
-from qdcascade.linalg import InvalidDensityMatrixError
+from qdcascade.linalg import InvalidDensityMatrixError, assert_density_matrix
 from qdcascade.metrics import PHI_PLUS, metrics_from_rho, trace_distance
-from qdcascade.model import apply_multipair_mixing
+from qdcascade.model import (
+    PhysicalParams,
+    SimConfig,
+    apply_multipair_mixing,
+    k_from_g2,
+    monte_carlo_rho,
+    sigma_from_t2star,
+)
 from qdcascade.tomography import fidelity_from_visibilities
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
@@ -165,3 +177,71 @@ class TestBundleAndDistance:
         for rho in (np.eye(4), np.eye(4) * 0.5, np.diag([2.0, 0.0, 0.0, -1.0])):
             with pytest.raises(InvalidDensityMatrixError):
                 metrics_from_rho(rho)
+
+
+def _random_state(seed: int, rank: int) -> np.ndarray:
+    """A random density matrix of the given rank, 1 (pure) to 4."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+STATES = {"seed": st.integers(0, 2**32 - 1), "rank": st.integers(1, 4)}
+
+
+class TestInvariantProperties:
+    """The invariants of the figures of merit, over random states of every
+    rank and single-pair fractions k in (0, 1]."""
+
+    @hypothesis_settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**STATES, k=st.floats(0.0, 1.0, exclude_min=True))
+    def test_mixing_is_linear_in_fidelity_and_quadratic_in_purity(self, seed, rank, k):
+        rho = _random_state(seed, rank)
+        mixed = apply_multipair_mixing(rho, k)
+        assert_density_matrix(mixed)
+        pure, mix = metrics_from_rho(rho), metrics_from_rho(mixed)
+        assert abs(mix.fidelity - (k * pure.fidelity + (1.0 - k) / 4.0)) <= 1e-14
+        assert abs(mix.purity - (k * k * pure.purity + (1.0 - k * k) / 4.0)) <= 1e-14
+
+    @hypothesis_settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**STATES, k=st.floats(0.0, 1.0, exclude_min=True))
+    def test_figure_ranges_and_fidelity_bound(self, seed, rank, k):
+        for rho in (_random_state(seed, rank), apply_multipair_mixing(_random_state(seed, rank), k)):
+            m = metrics_from_rho(rho)
+            assert 0.25 - 1e-14 <= m.purity <= 1.0 + 1e-14
+            assert 0.0 <= m.concurrence <= 1.0 + 1e-14
+            assert m.fidelity <= 0.5 * (1.0 + m.concurrence) + 1e-12
+
+    @hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
+    @given(theta=st.floats(0.0, 0.5 * math.pi))
+    def test_fidelity_bound_is_reached(self, theta):
+        # cos(theta)|HH> + sin(theta)|VV>: F = (1 + sin 2 theta)/2 and C = sin 2 theta.
+        psi = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)])
+        m = metrics_from_rho(np.outer(psi, psi))
+        assert abs(m.fidelity - 0.5 * (1.0 + m.concurrence)) <= 1e-12
+
+    @hypothesis_settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**STATES)
+    def test_fidelity_from_exact_visibilities(self, seed, rank):
+        rho = _random_state(seed, rank)
+        estimate = fidelity_from_visibilities(*correlation_visibilities(rho))
+        assert abs(estimate - metrics_from_rho(rho).fidelity) <= 1e-14
+
+    @hypothesis_settings(max_examples=50, deadline=None, derandomize=True)
+    @given(t2_star=st.floats(0.1, 10.0), g2_xx=st.floats(0.0, 0.5), g2_x=st.floats(0.0, 0.5),
+           eta_p=st.floats(0.0, 1.0, exclude_min=True),
+           window=st.one_of(st.none(), st.floats(10.0, 3000.0)))
+    def test_agreeing_input_forms_give_the_same_state(self, t2_star, g2_xx, g2_x, eta_p, window):
+        sigma, k = sigma_from_t2star(t2_star), k_from_g2(g2_xx, g2_x, eta_p)
+        g2 = {"g2_xx": g2_xx, "g2_x": g2_x, "eta_p": eta_p}
+        noise_forms = [{"sigma": sigma}, {"t2_star": t2_star}, {"sigma": sigma, "t2_star": t2_star}]
+        pair_forms = [{"k": k}, g2, {"k": k, **g2}]
+        config = SimConfig(quadrature="gauss_hermite", window=window)
+        states = set()
+        for noise in noise_forms:
+            for pairs in pair_forms:
+                params = PhysicalParams(s=0.4, t1=430.0, **noise, **pairs)
+                rho = apply_multipair_mixing(monte_carlo_rho(params, config), params.k)
+                states.add(rho.tobytes())
+        assert len(states) == 1

@@ -1065,6 +1065,9 @@ class TestPublicInputChecks:
         (lambda: _params(k=None), "provide k, or all of g2_xx, g2_x and eta_p"),
         (lambda: _params(k=0.0), r"k must lie in \(0, 1\]"),
         (lambda: _params(k=1.5), r"k must lie in \(0, 1\]"),
+        # A k derived from g2 is named by the inputs it came from.
+        (lambda: _params(k=None, g2_xx=1.0, g2_x=1.0, eta_p=1.0),
+         r"^k from g2_xx, g2_x and eta_p must lie in \(0, 1\]$"),
         (lambda: _params(t1_xx=0.0), "t1_xx must be > 0"),
         (lambda: _params(tau_s=-1.0), "tau_s must be > 0"),
         (lambda: _params(k=None, g2_xx=0.009, eta_p=0.7), "^g2_x is missing"),

@@ -58,6 +58,18 @@ class TestStandardSettings:
         assert settings == [BasisSetting(label) for label in ("HH", "HV", "DD", "DA", "RR", "RL")]
         assert np.array_equal(settings[0].product_ket(), [1.0, 0.0, 0.0, 0.0])
 
+    def test_six_basis_is_three_co_cross_pairs(self):
+        # The CLI reads its visibilities c_hv, c_da and c_rl from consecutive
+        # settings: within a pair the first arm is the same, the second arm
+        # is first co-polarized and then orthogonal.
+        settings = standard_settings("six_basis")
+        pairs = list(zip(settings[::2], settings[1::2]))
+        assert [co.label[0] for co, _ in pairs] == ["H", "D", "R"]
+        for co, cross in pairs:
+            assert co.label[1] == co.label[0] == cross.label[0]
+            overlap = np.vdot(POLARIZATION_KETS[co.label[1]], POLARIZATION_KETS[cross.label[1]])
+            assert abs(overlap) < 1e-15
+
     def test_sixteen_basis(self):
         settings = standard_settings("sixteen_basis")
         assert len(settings) == 16
