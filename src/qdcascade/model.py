@@ -30,7 +30,8 @@ PS_PER_US = 1e6
 QUADRATURE_MODES = ("monte_carlo", "gauss_hermite")
 
 # Agreement required between an input and the one implied by its other
-# form, given together: sigma and hbar/T2* in ueV, k and k_from_g2.
+# form, given together: sigma and hbar/T2*, k and k_from_g2; relative to
+# the implied value once that exceeds 1 (1 ueV for sigma; k is <= 1).
 SIGMA_MATCH_TOL = 1e-6
 
 
@@ -201,7 +202,7 @@ class PhysicalParams:
         if given is None:
             object.__setattr__(self, name, implied)
             return source
-        if abs(given - implied) > SIGMA_MATCH_TOL:
+        if abs(given - implied) > SIGMA_MATCH_TOL * max(1.0, abs(implied)):
             raise ValueError(f"{name}={given} disagrees with {source} = {implied:.6f}{unit}")
         return name
 

@@ -173,60 +173,50 @@ def fidelity_from_visibilities(c_hv: float, c_da: float, c_rl: float) -> float:
     return min(max(0.25 * (1.0 + c_hv + c_da - c_rl), 0.0), 1.0)
 
 
-# Lower-triangular parametrization rho = T^dag T / Tr(T^dag T): theta holds
-# the 4 real diagonal entries of T, then (re, im) pairs of the 6 sub-diagonal
-# entries, row by row.
-_DIAGONAL = np.diag_indices(4)
-_LOWER = np.tril_indices(4, -1)
-
 _PROB_FLOOR = 1e-300
 
 
 def _rho_of(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """T, rho and Tr(T^dag T) for the parameters theta."""
-    t = np.zeros((4, 4), dtype=complex)
-    t[_DIAGONAL] = theta[:4]
-    t[_LOWER] = theta[4::2] + 1j * theta[5::2]
-    gram = t.conj().T @ t
+    """A, rho = A A^dag / Tr(A A^dag) and Tr(A A^dag) for the parameters
+    theta, the (re, im) pairs of A's 16 entries, row by row, read in place
+    as A."""
+    a = theta.view(complex).reshape(4, 4)
+    gram = a @ a.conj().T
     scale = np.trace(gram).real
-    return t, gram / scale, scale
+    return a, gram / scale, scale
 
 
 def _objective(theta, projectors, counts, weights) -> tuple[float, np.ndarray]:
-    """Log-likelihood and its gradient in theta, from one evaluation of T,
+    """Log-likelihood and its gradient in theta, from one evaluation of A,
     rho and the probabilities.
 
     Poisson likelihood with the overall flux profiled out, up to a
     counts-only constant. With G = sum_i (dll/dp_i) pi_i pi_i^dag and
-    M = 2 T (G - Tr(G rho) I) / Tr(T^dag T), the derivative of ll in
-    Re T_ab is Re M_ab, and in Im T_ab it is Im M_ab.
+    M = 2 (G - Tr(G rho) I) A / Tr(A A^dag), the derivative of ll in
+    Re A_ab is Re M_ab, and in Im A_ab it is Im M_ab, so the gradient is
+    M read as floats in theta's order.
     """
-    t, rho, scale = _rho_of(theta)
+    a, rho, scale = _rho_of(theta)
     probs = np.clip(_probabilities(rho, projectors), _PROB_FLOOR, None)
     total = counts.sum()
     ll = float(counts @ np.log(probs) - total * np.log(weights @ probs))
     dll_dp = counts / probs - total * weights / (weights @ probs)
     g = (projectors.T * dll_dp) @ projectors.conj()
     # Tr(G rho) = sum_i (dll/dp_i) p_i, zero up to rounding for a flux-profiled ll
-    g[_DIAGONAL] -= dll_dp @ probs
-    m = 2.0 * (t @ g) / scale
-    gradient = np.empty(16)
-    gradient[:4] = m[_DIAGONAL].real
-    gradient[4::2] = m[_LOWER].real
-    gradient[5::2] = m[_LOWER].imag
-    return ll, gradient
+    m = 2.0 * (g @ a - (dll_dp @ probs) * a) / scale
+    return ll, m.view(float).ravel()
 
 
 def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
                     ) -> ReconstructionResult:
     """Maximum-likelihood density matrix from coincidence records.
 
-    The state is parametrized as rho = T^dag T / Tr(T^dag T) with T lower
-    triangular, so every iterate is physical by construction. The Poisson
-    log-likelihood (overall flux profiled out) is maximized with scipy's
-    L-BFGS-B quasi-Newton method on the analytic gradient, starting from
-    the maximally mixed state T = I/2. The objective is -ll/N with N the
-    total count, so the relative stopping rule (ftol 1e-12 on successive
+    The state is parametrized as rho = A A^dag / Tr(A A^dag) with A a full
+    complex 4x4 matrix, so every iterate is physical by construction. The
+    Poisson log-likelihood (overall flux profiled out) is maximized with
+    scipy's L-BFGS-B quasi-Newton method on the analytic gradient, starting
+    from the maximally mixed state. The objective is -ll/N with N the total
+    count, so the relative stopping rule (ftol 1e-12 on successive
     objective values, gtol 1e-8 on the largest gradient component) means
     the same at every count level.
 
@@ -234,7 +224,8 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     ``max_iterations``, an integer >= 1 (not a bool); ``converged`` is
     False when that cap, or any other abnormal stop, ends the run.
     ``message`` is the optimizer's termination message and
-    ``gradient_norm`` the norm of the final count-scaled gradient.
+    ``gradient_norm`` the norm of the final count-scaled gradient over the
+    32 real parameters of A.
     ``history`` holds the log-likelihood at the start and after every
     step; it is non-decreasing because a step is only accepted when it
     lowers the objective.
@@ -268,8 +259,8 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     # every `import qdcascade`.
     from scipy.optimize import minimize
 
-    theta0 = np.zeros(16)
-    theta0[:4] = 0.5  # T = I/2, the maximally mixed starting point
+    # A = I/2, the maximally mixed starting point
+    theta0 = (np.eye(4, dtype=complex) / 2.0).view(float).ravel()
     history = [_objective(theta0, *data)[0]]
     res = minimize(
         objective, theta0, jac=True, method="L-BFGS-B", callback=record,

@@ -1117,6 +1117,15 @@ class TestPhysicalParams:
         with pytest.raises(ValueError):
             PhysicalParams(s=0.4, t1=430.0, sigma=0.5, t2_star=1.6, k=0.99)
 
+    def test_sigma_agreement_is_relative_above_1_uev(self):
+        # hbar/T2* = 65.821196 ueV at T2* = 0.01 ns: 65.8212 is off by 6.5e-8
+        # of it, which passes; an error of 1e-5 of it does not.
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=65.8212, t2_star=0.01, k=0.99)
+        assert params.sigma == 65.8212
+        with pytest.raises(ValueError, match=r"^sigma=65.82\d* disagrees with hbar/T2\*"):
+            PhysicalParams(s=0.4, t1=430.0, sigma=HBAR_UEV_PS / 10.0 * (1.0 + 1e-5),
+                           t2_star=0.01, k=0.99)
+
     def test_k_resolved_from_g2(self):
         params = PhysicalParams(s=0.0, t1=230.0, sigma=0.25, g2_xx=0.009, g2_x=0.002, eta_p=0.70)
         assert abs(params.k - 0.996150) < 1e-9

@@ -13,6 +13,7 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from conftest import fidelity_phi_plus, purity, random_density_matrix
+from qdcascade import tomography
 from qdcascade.linalg import InvalidDensityMatrixError
 from qdcascade.metrics import PHI_PLUS, trace_distance
 from qdcascade.model import PhysicalParams, SimConfig, apply_multipair_mixing, monte_carlo_rho
@@ -359,6 +360,21 @@ class TestMLEReconstruct:
         assert result.converged
         assert result.log_likelihood >= state_log_likelihood(rho, records)
 
+    def test_stopping_rule_stops_near_the_maximum(self, monkeypatch):
+        # Noiseless counts of the reference dot; the maximum is the fit run
+        # with ftol = gtol = 0, which stops only where no step helps.
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99)
+        rho = apply_multipair_mixing(
+            monte_carlo_rho(params, SimConfig(quadrature="gauss_hermite")), params.k
+        )
+        records = simulate_counts(rho, standard_settings("sixteen_basis"), 1_000_000)
+        result = mle_reconstruct(records)
+        monkeypatch.setattr(tomography, "_MLE_FTOL", 0.0)
+        monkeypatch.setattr(tomography, "_MLE_GTOL", 0.0)
+        maximum = mle_reconstruct(records, max_iterations=20_000)
+        assert result.converged
+        assert maximum.log_likelihood - result.log_likelihood <= 1e-4
+
     @hypothesis_settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         state_seed=st.integers(0, 2**32 - 1),
@@ -397,11 +413,11 @@ class TestMLEReconstruct:
             weights = rng.uniform(0.5, 2.0, len(records))
         elif case == "zero_count":
             counts[3] = 0.0
-        theta = rng.normal(scale=0.4, size=16)
+        theta = rng.normal(scale=0.4, size=32)
         analytic = _objective(theta, projectors, counts, weights)[1]
         step = 1e-6
-        for index in range(16):
-            bump = np.zeros(16)
+        for index in range(32):
+            bump = np.zeros(32)
             bump[index] = step
             numeric = (
                 _objective(theta + bump, projectors, counts, weights)[0]
