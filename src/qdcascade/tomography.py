@@ -259,8 +259,10 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     # every `import qdcascade`.
     from scipy.optimize import minimize
 
-    # A = I/2, the maximally mixed starting point
-    theta0 = (np.eye(4, dtype=complex) / 2.0).view(float).ravel()
+    # A = I, the maximally mixed state. L-BFGS-B's first trial step has unit
+    # length in theta; from A = I/2, where |theta| = 1, it can take an
+    # eigenvalue of rho near 0 and leave the fit at a rank-deficient saddle.
+    theta0 = np.eye(4, dtype=complex).view(float).ravel()
     history = [_objective(theta0, *data)[0]]
     res = minimize(
         objective, theta0, jac=True, method="L-BFGS-B", callback=record,

@@ -360,14 +360,22 @@ class TestMLEReconstruct:
         assert result.converged
         assert result.log_likelihood >= state_log_likelihood(rho, records)
 
-    def test_stopping_rule_stops_near_the_maximum(self, monkeypatch):
-        # Noiseless counts of the reference dot; the maximum is the fit run
-        # with ftol = gtol = 0, which stops only where no step helps.
-        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=0.99)
-        rho = apply_multipair_mixing(
-            monte_carlo_rho(params, SimConfig(quadrature="gauss_hermite")), params.k
-        )
-        records = simulate_counts(rho, standard_settings("sixteen_basis"), 1_000_000)
+    @pytest.mark.parametrize("s, k, config, n_per_setting", [
+        # the reference dot, on which the triangular T stopped 9e-4 below
+        (0.4, 0.99, SimConfig(quadrature="gauss_hermite"), 1_000_000),
+        # the shipped spec at --samples 20000 and --n-per-setting 10000, and a
+        # smaller splitting with more multi-pair mixing at 1e3 counts, on
+        # which a start from A = I/2 stalled at a saddle
+        (0.4, 0.99, SimConfig(n_samples=20_000), 10_000),
+        (0.2, 0.95, SimConfig(n_samples=20_000, seed=1), 1_000),
+    ], ids=["reference-dot-1e6", "shipped-spec-1e4", "s0.2-k0.95-1e3"])
+    def test_stopping_rule_stops_near_the_maximum(self, monkeypatch, s, k, config,
+                                                  n_per_setting):
+        # Noiseless counts; the maximum is the fit run with ftol = gtol = 0,
+        # which stops only where no step helps.
+        params = PhysicalParams(s=s, t1=430.0, sigma=0.41, k=k)
+        rho = apply_multipair_mixing(monte_carlo_rho(params, config), params.k)
+        records = simulate_counts(rho, standard_settings("sixteen_basis"), n_per_setting)
         result = mle_reconstruct(records)
         monkeypatch.setattr(tomography, "_MLE_FTOL", 0.0)
         monkeypatch.setattr(tomography, "_MLE_GTOL", 0.0)
