@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_Y, assert_density_matrix
+from .linalg import SIGMA_Y, _is_x_state, assert_density_matrix
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -20,18 +21,28 @@ class EntanglementMetrics:
     concurrence: float
 
 
-def _concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a validated two-qubit density matrix.
+def _concurrence(rho: np.ndarray, e: list) -> float:
+    """Wootters concurrence of a validated two-qubit density matrix rho,
+    whose entries e = rho.tolist() are passed along.
 
-    C = max(0, lam_1 - lam_2 - lam_3 - lam_4) where the lam_i (descending)
-    are the square roots of the eigenvalues of rho rho~ with the spin flip
-    rho~ = (sy (x) sy) rho* (sy (x) sy). They are computed as the singular
-    values of the complex symmetric matrix sqrt(p) V^dag (sy (x) sy) V* sqrt(p)
-    built from the eigendecomposition rho = V p V^dag. Unlike squaring a
-    matrix square root of rho, this route keeps absolute rounding errors at
-    machine precision for rank-deficient states; eigenvalue noise down to
-    -1e-10 is clamped to zero.
+    An X state, whose eight entries between the {HH, VV} and {HV, VH}
+    blocks are exact zeros, has the closed form (Yu & Eberly 2007)
+    C = 2 max(0, |rho_03| - sqrt(rho_11 rho_22), |rho_12| - sqrt(rho_00 rho_33)),
+    with each product clamped at 0.
+
+    Any other state takes C = max(0, lam_1 - lam_2 - lam_3 - lam_4) where
+    the lam_i (descending) are the square roots of the eigenvalues of
+    rho rho~ with the spin flip rho~ = (sy (x) sy) rho* (sy (x) sy). They
+    are computed as the singular values of the complex symmetric matrix
+    sqrt(p) V^dag (sy (x) sy) V* sqrt(p) built from the eigendecomposition
+    rho = V p V^dag. Unlike squaring a matrix square root of rho, this route
+    keeps absolute rounding errors at machine precision for rank-deficient
+    states; eigenvalue noise down to -1e-10 is clamped to zero.
     """
+    if _is_x_state(e):
+        outer = math.sqrt(max(0.0, e[0][0].real * e[3][3].real))
+        inner = math.sqrt(max(0.0, e[1][1].real * e[2][2].real))
+        return 2.0 * max(0.0, abs(e[0][3]) - inner, abs(e[1][2]) - outer)
     p, v = np.linalg.eigh(rho)
     scale = np.sqrt(np.clip(p, 0.0, None))
     symmetric = v.conj().T @ _SPIN_FLIP @ v.conj()
@@ -52,12 +63,15 @@ def metrics_from_rho(rho) -> EntanglementMetrics:
     The state is validated once and shared by the three figures: the
     overlap with the Bell state (|HH> + |VV>)/sqrt(2), clamped to [0, 1];
     the purity Tr(rho^2), 1 for pure states and 1/4 for the maximally mixed
-    state; and the Wootters concurrence.
+    state; and the Wootters concurrence, at most 1. F = (rho_00 + rho_03 +
+    rho_30 + rho_33)/2 and P = sum_ij rho_ij rho_ji are read from the
+    entries, real parts taken.
     """
     rho = assert_density_matrix(rho)
-    fidelity = float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))
+    e = rho.tolist()
+    fidelity = 0.5 * (e[0][0] + e[0][3] + e[3][0] + e[3][3]).real
     return EntanglementMetrics(
         fidelity=min(max(fidelity, 0.0), 1.0),
-        purity=float(np.real(np.trace(rho @ rho))),
-        concurrence=_concurrence(rho),
+        purity=sum(e[i][j] * e[j][i] for i in range(4) for j in range(4)).real,
+        concurrence=min(_concurrence(rho, e), 1.0),
     )

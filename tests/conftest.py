@@ -2,11 +2,13 @@
 Hamiltonian/propagator reference model of the cascade, the per-sample
 outer-product oracle of the spin-noise average, the complex128 emission
 phase average that the reference moments are built from, reference
-entanglement figures, the single figures of the package's metrics bundle,
-and a thin wrapper that calls the package's private moment kernel in
-physical units."""
+entanglement figures and oracles of the figures of merit, the single
+figures of the package's metrics bundle, and a thin wrapper that calls the
+package's private moment kernel in physical units."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -230,6 +232,33 @@ def correlation_visibilities(rho) -> tuple[float, float, float]:
     rho = assert_density_matrix(rho)
     return tuple(float(np.real(np.trace(np.kron(pauli, pauli) @ rho)))
                  for pauli in (SIGMA_Z, SIGMA_X, SIGMA_Y))
+
+
+def fidelity_oracle(rho) -> float:
+    """<Phi+| rho |Phi+> as a matrix product, Phi+ = (|HH> + |VV>)/sqrt2."""
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    return float(np.real(phi @ np.asarray(rho) @ phi))
+
+
+def purity_oracle(rho) -> float:
+    """Tr(rho^2) as a matrix product."""
+    rho = np.asarray(rho)
+    return float(np.real(np.trace(rho @ rho)))
+
+
+def x_state_concurrence_oracle(rho) -> float:
+    """Wootters' C = max(0, lam_1 - lam_2 - lam_3 - lam_4) of an X state,
+    from its known spectrum: the square roots of the eigenvalues of
+    rho (sy (x) sy) rho* (sy (x) sy) are sqrt(rho_00 rho_33) +- |rho_03| and
+    sqrt(rho_11 rho_22) +- |rho_12|."""
+    rho = np.asarray(rho)
+    assert not rho[np.ix_([0, 3], [1, 2])].any() and not rho[np.ix_([1, 2], [0, 3])].any()
+    lam = []
+    for (i, j) in ((0, 3), (1, 2)):
+        root = math.sqrt(max(0.0, rho[i, i].real * rho[j, j].real))
+        lam += [root + abs(rho[i, j]), abs(root - abs(rho[i, j]))]
+    lam.sort(reverse=True)
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
 # One figure each of the package's validated metrics bundle.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import IDENTITY_2, random_density_matrix, rk4_unitary, unitary_exp
-from qdcascade.linalg import HBAR_UEV_PS, InvalidDensityMatrixError, assert_density_matrix
+from qdcascade.linalg import HBAR_UEV_PS, PSD_TOL, InvalidDensityMatrixError, assert_density_matrix
 from qdcascade.metrics import metrics_from_rho, trace_distance
 from qdcascade.model import apply_multipair_mixing
 from qdcascade.tomography import BasisSetting, simulate_counts, standard_settings
@@ -86,3 +86,70 @@ class TestDensityMatrixValidation:
     def test_rejects_a_state_that_is_not_4x4(self, call):
         with pytest.raises(InvalidDensityMatrixError, match="must be 4x4"):
             _STATE_ENTRY_POINTS[call](np.eye(2) / 2)
+
+
+def _x_state(outer_coherence: complex) -> np.ndarray:
+    """HH, VV and HV, VH populations 1/4 each; the HH-VV coherence is given
+    and the HV-VH one is 0.1."""
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 3], rho[3, 0] = outer_coherence, np.conj(outer_coherence)
+    rho[1, 2] = rho[2, 1] = 0.1
+    return rho
+
+
+class TestXStateValidation:
+    """An X state's smallest eigenvalue is read from its two 2x2 blocks;
+    every verdict and message stays that of the general route."""
+
+    @pytest.mark.parametrize("position", [(i, j) for i in range(4) for j in range(4)])
+    def test_rejects_non_finite_entries_anywhere(self, position):
+        general = random_density_matrix(np.random.default_rng(3))
+        for state in (_x_state(0.2j), general):
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)):
+                rho = state.copy()
+                rho[position] = bad
+                with pytest.raises(InvalidDensityMatrixError, match="non-finite entries"):
+                    assert_density_matrix(rho)
+
+    @pytest.mark.parametrize("block", [(0, 3), (1, 2)])
+    @pytest.mark.parametrize("phase", [0.0, 1.0, -2.5])
+    def test_negative_block_eigenvalue(self, block, phase):
+        # A block [[1/4, z*], [z, 1/4]] has eigenvalues 1/4 +- |z|.
+        for excess, rejected in ((2e-10, True), (5e-11, False)):
+            rho = _x_state(0.2 * np.exp(1j * phase))
+            i, j = block
+            rho[i, j] = (0.25 + excess) * np.exp(1j * phase)
+            rho[j, i] = np.conj(rho[i, j])
+            assert (np.linalg.eigvalsh(rho).min() < -PSD_TOL) == rejected
+            if rejected:
+                with pytest.raises(InvalidDensityMatrixError, match=r"^negative eigenvalue -2\.000e-10$"):
+                    assert_density_matrix(rho)
+            else:
+                assert_density_matrix(rho)
+
+    def test_moduli_beyond_the_largest_double(self):
+        # Finite entries whose modulus overflows: numpy's |rho - rho^dag| is
+        # inf there, and a coherence beyond the largest double leaves a
+        # block eigenvalue of -inf. (np.linalg.eigvalsh returns NaN for the
+        # latter, which no PSD_TOL comparison rejects.)
+        huge = 1.5e308 + 1.5e308j
+        rho = _x_state(0.2)
+        rho[0, 1] = huge
+        with pytest.raises(InvalidDensityMatrixError, match=r"^not Hermitian \(deviation inf\)$"):
+            assert_density_matrix(rho)
+        rho = _x_state(huge)
+        with pytest.raises(InvalidDensityMatrixError, match="^negative eigenvalue -inf$"):
+            assert_density_matrix(rho)
+
+    def test_one_off_x_entry_takes_the_general_route(self, monkeypatch):
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, *args, f=original, n=name: calls.append(n) or f(a, *args))
+        rho = _x_state(0.2)
+        metrics_from_rho(rho)
+        assert calls == []
+        rho[0, 1] = 1e-300
+        metrics_from_rho(rho)
+        assert calls == ["eigvalsh", "eigh"]

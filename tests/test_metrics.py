@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,13 +11,16 @@ from conftest import (
     concurrence,
     concurrence_pure,
     correlation_visibilities,
+    fidelity_oracle,
     fidelity_phi_plus,
     purity,
+    purity_oracle,
     random_density_matrix,
     random_pure_state,
     random_unitary,
+    x_state_concurrence_oracle,
 )
-from qdcascade.linalg import InvalidDensityMatrixError, assert_density_matrix
+from qdcascade.linalg import InvalidDensityMatrixError, _smallest_block_eigenvalue, assert_density_matrix
 from qdcascade.metrics import PHI_PLUS, metrics_from_rho, trace_distance
 from qdcascade.model import (
     PhysicalParams,
@@ -37,7 +41,7 @@ class TestFidelity:
         assert abs(fidelity_phi_plus(PHI_PLUS_RHO) - 1.0) < 1e-14
 
     def test_maximally_mixed(self):
-        assert abs(fidelity_phi_plus(MIXED) - 0.25) < 1e-15
+        assert fidelity_phi_plus(MIXED) == 0.25
 
     def test_werner(self):
         werner = apply_multipair_mixing(PHI_PLUS_RHO, 0.99)
@@ -68,7 +72,7 @@ class TestPurity:
             assert abs(purity(np.outer(psi, psi.conj())) - 1.0) < 1e-12
 
     def test_maximally_mixed(self):
-        assert abs(purity(MIXED) - 0.25) < 1e-15
+        assert purity(MIXED) == 0.25
 
     def test_werner(self):
         k = 0.99
@@ -210,7 +214,7 @@ class TestInvariantProperties:
         for rho in (_random_state(seed, rank), apply_multipair_mixing(_random_state(seed, rank), k)):
             m = metrics_from_rho(rho)
             assert 0.25 - 1e-14 <= m.purity <= 1.0 + 1e-14
-            assert 0.0 <= m.concurrence <= 1.0 + 1e-14
+            assert 0.0 <= m.concurrence <= 1.0
             assert m.fidelity <= 0.5 * (1.0 + m.concurrence) + 1e-12
 
     @hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
@@ -245,3 +249,76 @@ class TestInvariantProperties:
                 rho = apply_multipair_mixing(monte_carlo_rho(params, config), params.k)
                 states.add(rho.tobytes())
         assert len(states) == 1
+
+
+UNIT = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+# (u, t, phase) of a 2x2 block [[x, z], [z*, y]]: x = w u, y = w (1 - u) and
+# z = t sqrt(x y) exp(i phase), rank-deficient at t = 1 or u in {0, 1}.
+BLOCK = st.tuples(UNIT, UNIT, st.floats(-math.pi, math.pi))
+X_STATES = {"share": UNIT, "outer": BLOCK, "inner": BLOCK}
+PAIR_FRACTIONS = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+
+
+def _x_state(share, outer, inner, k) -> np.ndarray:
+    """The X state with a share of the trace in its {HH, VV} block and the
+    rest in its {HV, VH} block, mixed with the single-pair fraction k."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for (i, j), weight, (u, t, phase) in (((0, 3), share, outer), ((1, 2), 1.0 - share, inner)):
+        rho[i, i], rho[j, j] = weight * u, weight * (1.0 - u)
+        rho[i, j] = t * math.sqrt(rho[i, i].real * rho[j, j].real) * cmath.exp(1j * phase)
+        rho[j, i] = rho[i, j].conjugate()
+    return apply_multipair_mixing(rho, k)
+
+
+class TestXStates:
+    """States whose eight entries between the {HH, VV} and {HV, VH} blocks
+    are exact zeros are read through their two 2x2 blocks."""
+
+    @hypothesis_settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**X_STATES, k=PAIR_FRACTIONS)
+    def test_figures_equal_the_oracles(self, share, outer, inner, k):
+        rho = _x_state(share, outer, inner, k)
+        m = metrics_from_rho(rho)
+        assert abs(m.fidelity - fidelity_oracle(rho)) <= 1e-14
+        assert abs(m.purity - purity_oracle(rho)) <= 1e-14
+        assert abs(m.concurrence - x_state_concurrence_oracle(rho)) <= 1e-14
+
+    @hypothesis_settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**X_STATES, k=PAIR_FRACTIONS)
+    def test_closed_form_smallest_eigenvalue(self, share, outer, inner, k):
+        rho = _x_state(share, outer, inner, k)
+        closed = min(_smallest_block_eigenvalue(rho[0, 0].real, rho[3, 3].real, rho[3, 0]),
+                     _smallest_block_eigenvalue(rho[1, 1].real, rho[2, 2].real, rho[2, 1]))
+        assert abs(closed - np.linalg.eigvalsh(rho).min()) <= 1e-15
+
+    # A rotated X state is not an X state, so this pits the closed forms
+    # against the general eigh + SVD route. That route's rounding in C grows
+    # like eps/sqrt(smallest eigenvalue), so C is compared on states mixed
+    # with k <= 0.99, whose eigenvalues are at least 0.0025.
+    @hypothesis_settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**X_STATES, k=st.floats(0.0, 0.99, exclude_min=True), seed=st.integers(0, 2**32 - 1))
+    def test_local_unitary_invariance(self, share, outer, inner, k, seed):
+        rng = np.random.default_rng(seed)
+        rho = _x_state(share, outer, inner, k)
+        gate = np.kron(random_unitary(rng), random_unitary(rng))
+        rotated = gate @ rho @ gate.conj().T
+        assert rotated[0, 1] != 0.0
+        before, after = metrics_from_rho(rho), metrics_from_rho(rotated)
+        assert abs(after.purity - before.purity) <= 1e-14
+        assert abs(after.concurrence - before.concurrence) <= 1e-14
+
+    @pytest.mark.parametrize("quadrature", ["monte_carlo", "gauss_hermite"])
+    def test_ideal_dot_is_exactly_maximally_entangled(self, quadrature):
+        params = PhysicalParams(s=0.0, t1=430.0, sigma=0.0, k=1.0)
+        rho = apply_multipair_mixing(monte_carlo_rho(params, SimConfig(quadrature=quadrature)), 1.0)
+        m = metrics_from_rho(rho)
+        assert (m.fidelity, m.purity, m.concurrence) == (1.0, 1.0, 1.0)
+
+    def test_concurrence_is_at_most_one(self):
+        # A 1e-300 ps window keeps every shift's coherence, and the state's
+        # rounding puts |rho_03| one ulp above 1/2: the closed form alone
+        # would read C = 1 + 2.2e-16.
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=1.0)
+        rho = monte_carlo_rho(params, SimConfig(quadrature="gauss_hermite", window=1e-300))
+        assert 2.0 * abs(rho[0, 3]) > 1.0
+        assert metrics_from_rho(rho).concurrence == 1.0
