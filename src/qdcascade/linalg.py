@@ -67,6 +67,7 @@ def assert_density_matrix(rho) -> np.ndarray:
                     _smallest_block_eigenvalue(e[1][1].real, e[2][2].real, e[2][1]))
     else:
         w_min = np.linalg.eigvalsh(rho).min()
-    if w_min < -PSD_TOL:
+    # Also rejects NaN, which eigvalsh returns where a modulus overflows.
+    if not w_min >= -PSD_TOL:
         raise InvalidDensityMatrixError(f"negative eigenvalue {w_min:.3e}")
     return rho

@@ -35,9 +35,11 @@ def _concurrence(rho: np.ndarray, e: list) -> float:
     rho rho~ with the spin flip rho~ = (sy (x) sy) rho* (sy (x) sy). They
     are computed as the singular values of the complex symmetric matrix
     sqrt(p) V^dag (sy (x) sy) V* sqrt(p) built from the eigendecomposition
-    rho = V p V^dag. Unlike squaring a matrix square root of rho, this route
-    keeps absolute rounding errors at machine precision for rank-deficient
-    states; eigenvalue noise down to -1e-10 is clamped to zero.
+    rho = V p V^dag; eigenvalue noise down to -1e-10 is clamped to zero.
+    On rank-deficient states this route is off by up to 2.5e-8, about
+    sqrt(eps): eigh returns about +-1e-16 for a zero eigenvalue, and its
+    square root scales a row of the matrix. Tomography reconstructions near
+    rank deficiency take this route.
     """
     if _is_x_state(e):
         outer = math.sqrt(max(0.0, e[0][0].real * e[3][3].real))
@@ -63,15 +65,15 @@ def metrics_from_rho(rho) -> EntanglementMetrics:
     The state is validated once and shared by the three figures: the
     overlap with the Bell state (|HH> + |VV>)/sqrt(2), clamped to [0, 1];
     the purity Tr(rho^2), 1 for pure states and 1/4 for the maximally mixed
-    state; and the Wootters concurrence, at most 1. F = (rho_00 + rho_03 +
-    rho_30 + rho_33)/2 and P = sum_ij rho_ij rho_ji are read from the
-    entries, real parts taken.
+    state; and the Wootters concurrence. P and C are capped at 1.
+    F = (rho_00 + rho_03 + rho_30 + rho_33)/2 and P = sum_ij rho_ij rho_ji
+    are read from the entries, real parts taken.
     """
     rho = assert_density_matrix(rho)
     e = rho.tolist()
     fidelity = 0.5 * (e[0][0] + e[0][3] + e[3][0] + e[3][3]).real
     return EntanglementMetrics(
         fidelity=min(max(fidelity, 0.0), 1.0),
-        purity=sum(e[i][j] * e[j][i] for i in range(4) for j in range(4)).real,
+        purity=min(sum(e[i][j] * e[j][i] for i in range(4) for j in range(4)).real, 1.0),
         concurrence=min(_concurrence(rho, e), 1.0),
     )

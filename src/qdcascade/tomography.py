@@ -9,6 +9,7 @@ reconstructed by maximum likelihood.
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -116,9 +117,18 @@ def standard_settings(mode: str) -> list[BasisSetting]:
     return [BasisSetting(label) for label in labels]
 
 
-def _probabilities(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Born-rule probabilities <k|rho|k> for each row k of kets."""
-    return np.real(np.einsum("ia,ab,ib->i", kets.conj(), rho, kets))
+def _born_matrix(settings) -> np.ndarray:
+    """Born matrix B of the settings: row i is conj(k_i) (x) k_i for the
+    product ket k_i, so that <k_i|rho|k_i> = B_i . vec rho with rho read row
+    by row."""
+    kets = np.array([s.product_ket() for s in settings]).reshape(-1, 4)
+    return (kets.conj()[:, :, None] * kets[:, None, :]).reshape(-1, 16)
+
+
+def _probabilities(rho: np.ndarray, born: np.ndarray) -> np.ndarray:
+    """Born-rule probabilities Re(B_i . vec rho), one per row of the Born
+    matrix born."""
+    return (born @ rho.ravel()).real
 
 
 def simulate_counts(rho, settings, n_per_setting: int, seed: int = 0,
@@ -141,8 +151,7 @@ def simulate_counts(rho, settings, n_per_setting: int, seed: int = 0,
     if poisson and not n_per_setting < _POISSON_MAX_MEAN:
         raise ValueError(f"n_per_setting must be below {_POISSON_MAX_MEAN:g} for Poisson "
                          f"counts, got {n_per_setting!r}")
-    kets = np.array([s.product_ket() for s in settings]).reshape(-1, 4)
-    means = np.maximum(_probabilities(rho, kets), 0.0) * n_per_setting
+    means = np.maximum(_probabilities(rho, _born_matrix(settings)), 0.0) * n_per_setting
     if poisson:
         values = np.random.Generator(_philox(seed, _POISSON_STREAM)).poisson(means)
     else:
@@ -174,6 +183,8 @@ def fidelity_from_visibilities(c_hv: float, c_da: float, c_rl: float) -> float:
 
 
 _PROB_FLOOR = 1e-300
+# Weight of I/4 mixed into the linear-inversion start of the fit.
+_START_MIX = 1e-3
 
 
 def _rho_of(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -181,30 +192,59 @@ def _rho_of(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     theta, the (re, im) pairs of A's 16 entries, row by row, read in place
     as A."""
     a = theta.view(complex).reshape(4, 4)
-    gram = a @ a.conj().T
-    scale = np.trace(gram).real
-    return a, gram / scale, scale
+    scale = np.vdot(a, a).real  # Tr(A A^dag), the sum of |A_ab|^2
+    return a, (a @ a.conj().T) / scale, scale
 
 
-def _objective(theta, projectors, counts, weights) -> tuple[float, np.ndarray]:
+def _objective(theta, born, counts, weights) -> tuple[float, np.ndarray]:
     """Log-likelihood and its gradient in theta, from one evaluation of A,
-    rho and the probabilities.
+    rho and the probabilities through the Born matrix born.
 
     Poisson likelihood with the overall flux profiled out, up to a
-    counts-only constant. With G = sum_i (dll/dp_i) pi_i pi_i^dag and
+    counts-only constant. With G = sum_i (dll/dp_i) pi_i pi_i^dag, whose
+    row-by-row form is (dll/dp) . conj(B), and
     M = 2 (G - Tr(G rho) I) A / Tr(A A^dag), the derivative of ll in
     Re A_ab is Re M_ab, and in Im A_ab it is Im M_ab, so the gradient is
     M read as floats in theta's order.
     """
     a, rho, scale = _rho_of(theta)
-    probs = np.clip(_probabilities(rho, projectors), _PROB_FLOOR, None)
+    probs = np.maximum(_probabilities(rho, born), _PROB_FLOOR)
     total = counts.sum()
-    ll = float(counts @ np.log(probs) - total * np.log(weights @ probs))
-    dll_dp = counts / probs - total * weights / (weights @ probs)
-    g = (projectors.T * dll_dp) @ projectors.conj()
-    # Tr(G rho) = sum_i (dll/dp_i) p_i, zero up to rounding for a flux-profiled ll
-    m = 2.0 * (g @ a - (dll_dp @ probs) * a) / scale
+    flux = weights @ probs
+    ll = float(counts @ np.log(probs) - total * math.log(flux))
+    dll_dp = counts / probs - weights * (total / flux)
+    g = (dll_dp @ born).conj().reshape(4, 4)
+    # G - Tr(G rho) I on the diagonal; Tr(G rho) = sum_i (dll/dp_i) p_i is
+    # zero up to rounding for a flux-profiled ll.
+    g.flat[::5] -= dll_dp @ probs
+    m = (g @ a) * (2.0 / scale)
     return ll, m.view(float).ravel()
+
+
+def _start(born, counts, weights) -> np.ndarray:
+    """theta of the linear-inversion start (James, Kwiat, Munro & White 2001).
+
+    The least-squares solution of B vec rho = counts/weights is Hermitized,
+    its eigenvalues lam are clipped at 0 and renormalized, and the state is
+    mixed to (1 - eps) rho + eps I/4 with eps = _START_MIX, so that no
+    eigenvalue lies near 0, where the fit can stall at a rank-deficient
+    saddle. A = 2 V diag(sqrt(lam)) has |A|_F = 2, the norm of A = I:
+    L-BFGS-B's first trial step has unit length in theta, and from a
+    smaller A it can take an eigenvalue of rho near 0. Counts whose
+    estimate has no positive trace (all zero) start from A = I, the
+    maximally mixed state.
+    """
+    # counts/weights up to a common factor, which keeps every rate at most
+    # its count: a finite weight can be small enough to overflow counts/weights.
+    rates = counts * (weights.min() / weights)
+    solution = np.linalg.lstsq(born, rates, rcond=None)[0].reshape(4, 4)
+    lam, v = np.linalg.eigh(0.5 * (solution + solution.conj().T))
+    lam = np.maximum(lam, 0.0)
+    trace = lam.sum()
+    if not trace > 0.0:
+        return np.eye(4, dtype=complex).ravel().view(float)
+    lam = (1.0 - _START_MIX) * (lam / trace) + 0.25 * _START_MIX
+    return (2.0 * v * np.sqrt(lam)).ravel().view(float)
 
 
 def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
@@ -215,10 +255,10 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     complex 4x4 matrix, so every iterate is physical by construction. The
     Poisson log-likelihood (overall flux profiled out) is maximized with
     scipy's L-BFGS-B quasi-Newton method on the analytic gradient, starting
-    from the maximally mixed state. The objective is -ll/N with N the total
-    count, so the relative stopping rule (ftol 1e-12 on successive
-    objective values, gtol 1e-8 on the largest gradient component) means
-    the same at every count level.
+    from the projected linear-inversion estimate (see ``_start``). The
+    objective is -ll/N with N the total count, so the relative stopping
+    rule (ftol 1e-12 on successive objective values, gtol 1e-8 on the
+    largest gradient component) means the same at every count level.
 
     ``iterations`` counts accepted L-BFGS-B steps and is capped at exactly
     ``max_iterations``, an integer >= 1 (not a bool); ``converged`` is
@@ -231,21 +271,21 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     lowers the objective.
 
     Requires at least 16 linearly independent projectors, so fewer than
-    16 records and six-basis input are rejected.
+    16 records and six-basis input are rejected; more records (an
+    overcomplete set) are accepted.
     """
     if not _is_integer(max_iterations) or max_iterations < 1:
         raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     records = list(records)
-    projectors = np.array([r.setting.product_ket() for r in records])
-    operators = np.array([np.outer(p, p.conj()).ravel() for p in projectors])
-    if np.linalg.matrix_rank(operators, tol=1e-10) < 16:
+    born = _born_matrix(r.setting for r in records)
+    if np.linalg.matrix_rank(born, tol=1e-10) < 16:
         raise InsufficientSettingsError(
             "settings do not span the state space (16 linearly independent "
             f"projectors required, got {len(records)} records)"
         )
     counts = np.array([float(r.counts) for r in records])
     weights = np.array([float(r.acquisition_weight) for r in records])
-    data = (projectors, counts, weights)
+    data = (born, counts, weights)
     scale = max(counts.sum(), 1.0)
 
     def objective(theta):
@@ -259,10 +299,7 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     # every `import qdcascade`.
     from scipy.optimize import minimize
 
-    # A = I, the maximally mixed state. L-BFGS-B's first trial step has unit
-    # length in theta; from A = I/2, where |theta| = 1, it can take an
-    # eigenvalue of rho near 0 and leave the fit at a rank-deficient saddle.
-    theta0 = np.eye(4, dtype=complex).view(float).ravel()
+    theta0 = _start(*data)
     history = [_objective(theta0, *data)[0]]
     res = minimize(
         objective, theta0, jac=True, method="L-BFGS-B", callback=record,

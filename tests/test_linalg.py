@@ -130,8 +130,7 @@ class TestXStateValidation:
     def test_moduli_beyond_the_largest_double(self):
         # Finite entries whose modulus overflows: numpy's |rho - rho^dag| is
         # inf there, and a coherence beyond the largest double leaves a
-        # block eigenvalue of -inf. (np.linalg.eigvalsh returns NaN for the
-        # latter, which no PSD_TOL comparison rejects.)
+        # block eigenvalue of -inf.
         huge = 1.5e308 + 1.5e308j
         rho = _x_state(0.2)
         rho[0, 1] = huge
@@ -140,6 +139,17 @@ class TestXStateValidation:
         rho = _x_state(huge)
         with pytest.raises(InvalidDensityMatrixError, match="^negative eigenvalue -inf$"):
             assert_density_matrix(rho)
+
+    @pytest.mark.parametrize("call", [assert_density_matrix, metrics_from_rho])
+    def test_overflowing_coherence_of_a_general_state(self, call):
+        # Off the X entries, np.linalg.eigvalsh returns NaN for a modulus
+        # beyond the largest double; metrics_from_rho's SVD then did not
+        # converge.
+        huge = 1.5e308 + 1.5e308j
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 1], rho[1, 0] = huge, np.conj(huge)
+        with pytest.raises(InvalidDensityMatrixError, match="^negative eigenvalue nan$"):
+            call(rho)
 
     def test_one_off_x_entry_takes_the_general_route(self, monkeypatch):
         calls = []

@@ -322,3 +322,12 @@ class TestXStates:
         rho = monte_carlo_rho(params, SimConfig(quadrature="gauss_hermite", window=1e-300))
         assert 2.0 * abs(rho[0, 3]) > 1.0
         assert metrics_from_rho(rho).concurrence == 1.0
+
+    @pytest.mark.parametrize("window", [1e-321, 1e-307, 1e-300])
+    def test_purity_is_at_most_one(self, window):
+        # The same windows round the HH and VV populations to
+        # 0.5000000000000001 each: the sum alone would read P = 1 + 4.4e-16.
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=1.0)
+        rho = monte_carlo_rho(params, SimConfig(quadrature="gauss_hermite", window=window))
+        assert purity_oracle(rho) > 1.0
+        assert metrics_from_rho(rho).purity == 1.0

@@ -23,7 +23,11 @@ from qdcascade.tomography import (
     CountRecord,
     InsufficientSettingsError,
     ZeroCountsError,
+    _born_matrix,
+    _objective,
     _probabilities,
+    _rho_of,
+    _start,
     fidelity_from_visibilities,
     load_count_records_csv,
     mle_reconstruct,
@@ -39,8 +43,7 @@ MIXED = np.eye(4, dtype=complex) / 4.0
 
 def born_probabilities(rho, settings) -> np.ndarray:
     """The package's Born-rule probabilities <k|rho|k>, one per setting."""
-    kets = np.array([s.product_ket() for s in settings])
-    return _probabilities(np.asarray(rho, dtype=complex), kets)
+    return _probabilities(np.asarray(rho, dtype=complex), _born_matrix(settings))
 
 
 def state_log_likelihood(rho, records) -> float:
@@ -409,12 +412,10 @@ class TestMLEReconstruct:
 
     @pytest.mark.parametrize("case", ["unit_weights", "uneven_weights", "zero_count"])
     def test_gradient_matches_finite_differences(self, case):
-        from qdcascade.tomography import _objective
-
         rng = np.random.default_rng(71)
         rho = random_density_matrix(rng)
         records = simulate_counts(rho, standard_settings("sixteen_basis"), 10**5)
-        projectors = np.array([r.setting.product_ket() for r in records])
+        born = _born_matrix(r.setting for r in records)
         counts = np.array([float(r.counts) for r in records])
         weights = np.ones(len(records))
         if case == "uneven_weights":
@@ -422,16 +423,69 @@ class TestMLEReconstruct:
         elif case == "zero_count":
             counts[3] = 0.0
         theta = rng.normal(scale=0.4, size=32)
-        analytic = _objective(theta, projectors, counts, weights)[1]
+        analytic = _objective(theta, born, counts, weights)[1]
         step = 1e-6
         for index in range(32):
             bump = np.zeros(32)
             bump[index] = step
             numeric = (
-                _objective(theta + bump, projectors, counts, weights)[0]
-                - _objective(theta - bump, projectors, counts, weights)[0]
+                _objective(theta + bump, born, counts, weights)[0]
+                - _objective(theta - bump, born, counts, weights)[0]
             ) / (2 * step)
             assert abs(analytic[index] - numeric) < 1e-3 * max(1.0, abs(numeric))
+
+
+ALL_LABELS = tuple(a + b for a in POLARIZATION_KETS for b in POLARIZATION_KETS)
+
+
+class TestLinearInversionStart:
+    @pytest.mark.parametrize("labels", [
+        tomography.SIXTEEN_BASIS_LABELS,
+        ALL_LABELS,
+        tomography.SIXTEEN_BASIS_LABELS + ("DR",),
+    ], ids=["sixteen", "all-36", "one-duplicated"])
+    @pytest.mark.parametrize("state", ["random", "bell"])
+    def test_noiseless_counts_start_at_the_mixed_state(self, labels, state):
+        # Expected counts, not rounded: the least-squares solve returns rho,
+        # and the start is (1 - eps) rho + eps I/4 with |A|_F = 2.
+        rng = np.random.default_rng(73)
+        rho = random_density_matrix(rng) if state == "random" else PHI_PLUS_RHO
+        born = _born_matrix(BasisSetting(label) for label in labels)
+        weights = rng.uniform(0.5, 2.0, len(labels))
+        counts = 1e6 * weights * _probabilities(rho, born)
+        a, start, _ = _rho_of(_start(born, counts, weights))
+        eps = tomography._START_MIX
+        assert np.abs(start - ((1.0 - eps) * rho + eps * MIXED)).max() < 1e-12
+        assert abs(np.linalg.norm(a) - 2.0) < 1e-14
+
+    def test_zero_counts_start_at_the_maximally_mixed_state(self):
+        records = [CountRecord(s, 0) for s in standard_settings("sixteen_basis")]
+        theta = _start(_born_matrix(r.setting for r in records), np.zeros(16), np.ones(16))
+        assert np.array_equal(theta, np.eye(4, dtype=complex).ravel().view(float))
+        result = mle_reconstruct(records)
+        assert result.converged
+        assert np.array_equal(result.rho, MIXED)
+
+    @pytest.mark.parametrize("weight", [5e-324, 1e-300])
+    def test_start_is_finite_for_a_tiny_weight(self, weight):
+        # counts/weight overflows; the rates are taken relative to it.
+        settings = standard_settings("sixteen_basis")
+        counts = np.arange(100.0, 116.0)
+        weights = np.ones(16)
+        weights[0] = weight
+        assert np.all(np.isfinite(_start(_born_matrix(settings), counts, weights)))
+        records = [CountRecord(s, int(c), w) for s, c, w in zip(settings, counts, weights)]
+        assert mle_reconstruct(records).converged
+
+    @pytest.mark.parametrize("labels", [ALL_LABELS, tomography.SIXTEEN_BASIS_LABELS + ("HH",)],
+                             ids=["all-36", "one-duplicated"])
+    def test_overcomplete_sets_reconstruct(self, labels):
+        rng = np.random.default_rng(79)
+        rho = random_density_matrix(rng)
+        records = simulate_counts(rho, [BasisSetting(label) for label in labels], 10**6)
+        result = mle_reconstruct(records)
+        assert result.converged
+        assert trace_distance(result.rho, rho) < 1e-3
 
 
 class TestCountsCSV:
@@ -498,7 +552,7 @@ def test_born_probabilities_match_direct_products():
     settings = standard_settings("sixteen_basis")
     for setting, probability in zip(settings, born_probabilities(rho, settings)):
         ket = setting.product_ket()
-        assert abs(probability - np.real(ket.conj() @ rho @ ket)) < 1e-14
+        assert abs(probability - np.real(ket.conj() @ rho @ ket)) < 1e-15
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
