@@ -368,7 +368,7 @@ def cmd_tomography(args) -> int:
     else:
         result = tomography.mle_reconstruct(records, max_iterations=args.max_iterations)
         fit = asdict(result)
-        del fit["rho"], fit["history"]
+        del fit["rho"]
         doc["reconstruction"] = {
             **asdict(metrics.metrics_from_rho(result.rho)),
             "trace_distance": metrics.trace_distance(result.rho, rho_true),

@@ -9,8 +9,6 @@ import numpy as np
 
 from .linalg import SIGMA_Y, _is_x_state, assert_density_matrix
 
-PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,8 @@ class BasisSetting:
 
     def product_ket(self) -> np.ndarray:
         """First-photon ket (x) second-photon ket, in HH, HV, VH, VV order."""
-        return np.kron(POLARIZATION_KETS[self.label[0]], POLARIZATION_KETS[self.label[1]])
+        first, second = (POLARIZATION_KETS[ch] for ch in self.label)
+        return np.outer(first, second).ravel()
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,6 @@ class ReconstructionResult:
     log_likelihood: float
     iterations: int
     converged: bool
-    history: np.ndarray = field(default=None, repr=False)
     message: str = ""
     gradient_norm: float = float("nan")
 
@@ -197,15 +197,16 @@ def _rho_of(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _objective(theta, born, counts, weights) -> tuple[float, np.ndarray]:
-    """Log-likelihood and its gradient in theta, from one evaluation of A,
-    rho and the probabilities through the Born matrix born.
+    """The objective L-BFGS-B minimizes, -ll/N, and its gradient in theta,
+    with N = max(total count, 1), from one evaluation of A, rho and the
+    probabilities through the Born matrix born.
 
-    Poisson likelihood with the overall flux profiled out, up to a
-    counts-only constant. With G = sum_i (dll/dp_i) pi_i pi_i^dag, whose
-    row-by-row form is (dll/dp) . conj(B), and
+    ll is the Poisson log-likelihood with the overall flux profiled out, up
+    to a counts-only constant. With G = sum_i (dll/dp_i) pi_i pi_i^dag,
+    whose row-by-row form is (dll/dp) . conj(B), and
     M = 2 (G - Tr(G rho) I) A / Tr(A A^dag), the derivative of ll in
-    Re A_ab is Re M_ab, and in Im A_ab it is Im M_ab, so the gradient is
-    M read as floats in theta's order.
+    Re A_ab is Re M_ab, and in Im A_ab it is Im M_ab, so the gradient of ll
+    is M read as floats in theta's order.
     """
     a, rho, scale = _rho_of(theta)
     probs = np.maximum(_probabilities(rho, born), _PROB_FLOOR)
@@ -218,7 +219,8 @@ def _objective(theta, born, counts, weights) -> tuple[float, np.ndarray]:
     # zero up to rounding for a flux-profiled ll.
     g.flat[::5] -= dll_dp @ probs
     m = (g @ a) * (2.0 / scale)
-    return ll, m.view(float).ravel()
+    n = max(total, 1.0)
+    return -ll / n, -m.view(float).ravel() / n
 
 
 def _start(born, counts, weights) -> np.ndarray:
@@ -256,9 +258,10 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     Poisson log-likelihood (overall flux profiled out) is maximized with
     scipy's L-BFGS-B quasi-Newton method on the analytic gradient, starting
     from the projected linear-inversion estimate (see ``_start``). The
-    objective is -ll/N with N the total count, so the relative stopping
-    rule (ftol 1e-12 on successive objective values, gtol 1e-8 on the
-    largest gradient component) means the same at every count level.
+    objective, ``_objective``, is -ll/N with N the total count (at least 1),
+    so the relative stopping rule (ftol 1e-12 on successive objective
+    values, gtol 1e-8 on the largest gradient component) means the same at
+    every count level.
 
     ``iterations`` counts accepted L-BFGS-B steps and is capped at exactly
     ``max_iterations``, an integer >= 1 (not a bool); ``converged`` is
@@ -266,9 +269,6 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     ``message`` is the optimizer's termination message and
     ``gradient_norm`` the norm of the final count-scaled gradient over the
     32 real parameters of A.
-    ``history`` holds the log-likelihood at the start and after every
-    step; it is non-decreasing because a step is only accepted when it
-    lowers the objective.
 
     Requires at least 16 linearly independent projectors, so fewer than
     16 records and six-basis input are rejected; more records (an
@@ -286,23 +286,13 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     counts = np.array([float(r.counts) for r in records])
     weights = np.array([float(r.acquisition_weight) for r in records])
     data = (born, counts, weights)
-    scale = max(counts.sum(), 1.0)
-
-    def objective(theta):
-        ll, gradient = _objective(theta, *data)
-        return -ll / scale, -gradient / scale
-
-    def record(intermediate_result):  # scipy passes the accepted step under this name
-        history.append(float(-intermediate_result.fun * scale))
 
     # Imported here: scipy.optimize would add a few tenths of a second to
     # every `import qdcascade`.
     from scipy.optimize import minimize
 
-    theta0 = _start(*data)
-    history = [_objective(theta0, *data)[0]]
     res = minimize(
-        objective, theta0, jac=True, method="L-BFGS-B", callback=record,
+        _objective, _start(*data), args=data, jac=True, method="L-BFGS-B",
         # A line search gives up after 20 evaluations, so maxiter, not
         # maxfun, is the budget that ends a long run.
         options={"maxiter": max_iterations, "maxfun": 100 * max_iterations,
@@ -310,10 +300,9 @@ def mle_reconstruct(records, max_iterations: int = MLE_DEFAULT_MAX_ITERATIONS
     )
     return ReconstructionResult(
         rho=_rho_of(res.x)[1],
-        log_likelihood=float(-res.fun * scale),
+        log_likelihood=float(-res.fun * max(counts.sum(), 1.0)),
         iterations=int(res.nit),
         converged=bool(res.success),
-        history=np.array(history),
         message=str(res.message),
         gradient_norm=float(np.linalg.norm(res.jac)),
     )

@@ -3,8 +3,9 @@ Hamiltonian/propagator reference model of the cascade, the per-sample
 outer-product oracle of the spin-noise average, the complex128 emission
 phase average that the reference moments are built from, reference
 entanglement figures and oracles of the figures of merit, the single
-figures of the package's metrics bundle, and a thin wrapper that calls the
-package's private moment kernel in physical units."""
+figures of the package's metrics bundle, a thin wrapper that calls the
+package's private moment kernel in physical units, and the Born-rule
+probabilities and profiled log-likelihood of a given state."""
 
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ import numpy as np
 from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix
 from qdcascade.metrics import metrics_from_rho
 from qdcascade.model import PhysicalParams, _moments, _rho_from_moments, _scaled
+from qdcascade.tomography import _born_matrix, _probabilities
 
+PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -272,3 +275,18 @@ def purity(rho) -> float:
 
 def concurrence(rho) -> float:
     return metrics_from_rho(rho).concurrence
+
+
+def born_probabilities(rho, settings) -> np.ndarray:
+    """The package's Born-rule probabilities <k|rho|k>, one per setting."""
+    return _probabilities(np.asarray(rho, dtype=complex), _born_matrix(settings))
+
+
+def state_log_likelihood(rho, records) -> float:
+    """Profiled Poisson log-likelihood of a given state, straight from the
+    Born probabilities (same constant as the reconstruction's)."""
+    probs = born_probabilities(rho, [r.setting for r in records])
+    probs = np.clip(probs, 1e-300, None)
+    counts = np.array([float(r.counts) for r in records])
+    weights = np.array([float(r.acquisition_weight) for r in records])
+    return float(counts @ np.log(probs) - counts.sum() * np.log(weights @ probs))

@@ -555,6 +555,9 @@ class TestTomographyCommand:
         assert main(["tomography", str(spec), "--n-per-setting", "100000",
                      "--out", str(out)]) == 0
         reco = json.loads(out.read_text(encoding="utf-8"))["reconstruction"]
+        assert list(reco) == ["fidelity", "purity", "concurrence", "trace_distance",
+                              "log_likelihood", "iterations", "converged", "message",
+                              "gradient_norm", "density_matrix"]
         assert reco["message"].startswith("CONVERGENCE")
         assert 0.0 <= reco["gradient_norm"] < 1e-3
 

@@ -8,6 +8,7 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PHI_PLUS,
     concurrence,
     concurrence_pure,
     correlation_visibilities,
@@ -21,7 +22,7 @@ from conftest import (
     x_state_concurrence_oracle,
 )
 from qdcascade.linalg import InvalidDensityMatrixError, _smallest_block_eigenvalue, assert_density_matrix
-from qdcascade.metrics import PHI_PLUS, metrics_from_rho, trace_distance
+from qdcascade.metrics import metrics_from_rho, trace_distance
 from qdcascade.model import (
     PhysicalParams,
     SimConfig,

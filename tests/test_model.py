@@ -12,6 +12,7 @@ from scipy.integrate import simpson
 
 from conftest import (
     IDENTITY_2,
+    PHI_PLUS,
     build_hamiltonian,
     closed_form_phase_average,
     concurrence,
@@ -29,7 +30,7 @@ from conftest import (
     two_photon_state,
 )
 from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix
-from qdcascade.metrics import PHI_PLUS, metrics_from_rho
+from qdcascade.metrics import metrics_from_rho
 from qdcascade.model import (
     QUADRATURE_MODES,
     PhysicalParams,
