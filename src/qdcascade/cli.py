@@ -34,7 +34,11 @@ _SWEEP_BANDS = {"f_sigma0": math.inf, "f_sigma_low": 3.2, "f_sigma_ref": 1.7, "f
 
 BASIS_ORDER = "HHHVVHVV"
 
+# A run spec's `outputs` values. simulate always prints the metrics and the
+# closed-form fidelity, so "metrics" and "closed_form" (the shipped spec
+# lists both) add nothing; the others add the density matrix.
 OUTPUT_MODES = ("metrics", "density_matrix", "closed_form", "both")
+_DENSITY_MATRIX_OUTPUTS = ("density_matrix", "both")
 REPORTED_METRICS = ("fidelity", "concurrence")  # EntanglementMetrics field names
 
 
@@ -163,7 +167,9 @@ def _parse_config(obj, args) -> model.SimConfig:
                   _read_record(obj, _CONFIG_TABLE, "config", model.SimConfig))
 
 
-def load_run_spec(path, args) -> tuple[model.PhysicalParams, model.SimConfig, list[str]]:
+def load_run_spec(path, args) -> tuple[model.PhysicalParams, model.SimConfig, bool]:
+    """The dot, its averaging controls and whether simulate adds the density
+    matrix, from a run spec and the flags that override its config."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError("run spec must be a JSON object")
@@ -179,7 +185,7 @@ def load_run_spec(path, args) -> tuple[model.PhysicalParams, model.SimConfig, li
     for mode in outputs:
         if mode not in OUTPUT_MODES:
             raise ConfigError(f"unknown output mode '{mode}' in outputs")
-    return params, config, outputs
+    return params, config, any(mode in _DENSITY_MATRIX_OUTPUTS for mode in outputs)
 
 
 def _density_matrix_doc(rho) -> dict:
@@ -216,7 +222,7 @@ def _fmt(value) -> str:
 
 
 def cmd_simulate(args) -> int:
-    params, config, outputs = load_run_spec(args.run_spec, args)
+    params, config, include_density_matrix = load_run_spec(args.run_spec, args)
     rho = model.apply_multipair_mixing(model.monte_carlo_rho(params, config), params.k)
     doc = {
         **asdict(metrics.metrics_from_rho(rho)),
@@ -225,7 +231,7 @@ def cmd_simulate(args) -> int:
                    if getattr(params, field) is not None},
         **{key: getattr(config, field) for key, field in _CONFIG_TABLE},
     }
-    if "density_matrix" in outputs or "both" in outputs:
+    if include_density_matrix:
         doc["density_matrix"] = _density_matrix_doc(rho)
     _write_text(_json_text(doc), args.out)
     return EXIT_OK
@@ -395,7 +401,10 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    changes nothing in it, and help text is laid out when it is printed."""
     parser = argparse.ArgumentParser(
         prog="qdcascade",
         description="Cascade photon-pair entanglement under nuclear spin noise",

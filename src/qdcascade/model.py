@@ -250,9 +250,11 @@ class SimConfig:
 # changes the summation order and with it the last bits of every output.
 CHUNK_SAMPLES = 65_536
 
-# Rows of the _moments workspace. Rows 0-2 are the summed rows A, M and K;
-# a window's rows 3 and 4 hold beta, then 1 - M, and t = tan(beta) and tau.
-_WORK_ROWS = 5
+# Rows of the kernel workspace. Rows 0-2 are the summed rows A, M and K of
+# _moments; a window's rows 3 and 4 hold beta, then 1 - M, and t = tan(beta)
+# and tau. Rows 5 and 6 hold the rows (r z)^2 and L that _grouped_moments
+# shares between points.
+_WORK_ROWS = 7
 _BETA_RANGE = (sys.float_info.min, sys.float_info.max)
 
 
@@ -270,10 +272,12 @@ def _scaled(params: PhysicalParams, window: float | None) -> tuple[float, float,
     return q * (0.5 * params.s), r, window / params.t1, rho_w
 
 
-def _moments(z: np.ndarray, p: float, r: float, a: float, rho_w: float,
-             weights, work: np.ndarray | None = None) -> np.ndarray:
+def _moments(lorentz: np.ndarray, z: np.ndarray, p: float, a: float, rho_w: float,
+             weights, work: np.ndarray) -> np.ndarray:
     """The four weighted sums <1>, <Re g>, <x^2 (1 - Re g)> and <Im g x>
-    the state reads, over N(0, 1) values z of the shifts h = sigma z.
+    the state reads, over N(0, 1) values z of the shifts h = sigma z, given
+    their Lorentzian row L = 1/(1 + p^2 + (r z)^2) (see
+    :func:`_grouped_moments`).
 
     With p, r, a and rho_w from :func:`_scaled`, E = sqrt(s^2/4 + h^2) and
     x = s/(2E), g is the average of exp(-i 2E t/hbar) over the delay
@@ -281,9 +285,9 @@ def _moments(z: np.ndarray, p: float, r: float, a: float, rho_w: float,
     window W is given. Every sum is even in z, so z and -z give the same
     bytes and the odd sums <xy (1 - Re g)> and <Im g y>, y = h/E, are 0.
     weights is an array matching z or a scalar; an array multiplies the
-    summed rows, a scalar the sums. Per-sample intermediates, none complex,
-    go into work[:, :n], float64 and C-contiguous with _WORK_ROWS rows and
-    at least n = z.size columns, made when not given. The sums are one
+    summed rows, a scalar the sums. lorentz is only read. Per-sample
+    intermediates, none complex, go into rows 0-4 of work[:, :n], float64
+    with C-contiguous rows of at least n = z.size columns. The sums are one
     ufunc sum over a block of rows, not a matrix product, which would hand
     them to a multi-threaded BLAS.
 
@@ -302,17 +306,10 @@ def _moments(z: np.ndarray, p: float, r: float, a: float, rho_w: float,
     at E = 0 and 0 where (r z)^2 overflows; the sums are finite while p^2 is.
     """
     n = z.size
-    if work is None:
-        work = np.empty((_WORK_ROWS, n))
     decay = math.exp(-a)
-    rows = work[:3 if decay else 1, :n]
-    lorentz = rows[0]
-    np.multiply(z, r, out=lorentz)  # r z
-    np.multiply(lorentz, lorentz, out=lorentz)
-    np.add(lorentz, 1.0 + p * p, out=lorentz)
-    np.reciprocal(lorentz, out=lorentz)  # L
     if decay:
         c2 = a * decay / -math.expm1(-a) if a else 1.0
+        rows = work[:3, :n]
         m, k, beta, tau = rows[1], rows[2], work[3, :n], work[4, :n]
         np.multiply(z, rho_w, out=beta)  # h W/hbar
         np.multiply(beta, beta, out=beta)
@@ -330,14 +327,53 @@ def _moments(z: np.ndarray, p: float, r: float, a: float, rho_w: float,
         np.multiply(k, 0.5 * c2 * a, out=k)  # K
         np.add(m, k, out=m)  # M
         np.subtract(1.0, m, out=beta)
-        np.multiply(lorentz, beta, out=lorentz)  # A = L (1 - M)
+        np.multiply(lorentz, beta, out=rows[0])  # A = L (1 - M)
+    else:
+        rows = lorentz[np.newaxis]  # A = L
     if np.ndim(weights):
-        np.multiply(rows, weights, out=rows)
+        rows = np.multiply(rows, weights, out=work[:len(rows), :n])
         sums, total = rows.sum(axis=1), weights.sum()
     else:
         sums, total = weights * rows.sum(axis=1), weights * n
     s_a, s_m, s_k = sums.tolist() + [0.0] * (3 - sums.size)
     return np.array([total, s_a + s_m, p * p * s_a, -p * (s_a + s_k)])
+
+
+def _group(points: dict) -> dict:
+    """The points {table row: (p, r, a, rho_w) of :func:`_scaled`} nested
+    by the kernel rows they share, r -> p -> (a, rho_w) -> table rows:
+    (r z)^2 depends on r alone, L on (p, r), and the moments on all four.
+    p is keyed with its sign, so s = -0.0, whose L is that of s = 0, keeps
+    the signed zero of its last moment."""
+    groups = {}
+    for row, (p, r, a, rho_w) in points.items():
+        by_p = groups.setdefault(r, {})
+        by_window = by_p.setdefault((p, math.copysign(1.0, p)), {})
+        by_window.setdefault((a, rho_w), []).append(row)
+    return groups
+
+
+def _grouped_moments(z: np.ndarray, groups: dict, weights, work: np.ndarray | None = None):
+    """Yield (table rows, moments of :func:`_moments`) for each distinct
+    (p, r, a, rho_w) of groups (see :func:`_group`), over the N(0, 1)
+    values z with weights. (r z)^2 is formed once per r, into row 5 of the
+    workspace, and L = 1/(1 + p^2 + (r z)^2) once per (p, r), into row 6.
+    These are the same operations on the same inputs as for a point alone,
+    so every point gets the bytes it would get alone. work is as for
+    :func:`_moments`, with _WORK_ROWS rows, and is made when not given.
+    """
+    n = z.size
+    if work is None:
+        work = np.empty((_WORK_ROWS, n))
+    square, lorentz = work[5, :n], work[6, :n]
+    for r, by_p in groups.items():
+        np.multiply(z, r, out=square)  # r z
+        np.multiply(square, square, out=square)
+        for (p, _), by_window in by_p.items():
+            np.add(square, 1.0 + p * p, out=lorentz)
+            np.reciprocal(lorentz, out=lorentz)  # L
+            for (a, rho_w), rows in by_window.items():
+                yield rows, _moments(lorentz, z, p, a, rho_w, weights, work)
 
 
 def _rho_from_moments(m: np.ndarray) -> np.ndarray:
@@ -438,36 +474,49 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     """:func:`monte_carlo_rho` for each (PhysicalParams, SimConfig) pair.
 
     Each point owns one row of a float (points, 4) table of moments, and
-    the states are read from the table alone. A point that draws nothing
-    writes its row in one kernel call on the N(0, 1) rule of
-    :func:`_normal_rule`: the gh_order rule, or at sigma = 0 the one node
-    z = 0 of weight 1. The Monte Carlo points must share seed and
+    the states are read from the table alone. Points that draw nothing
+    write their rows in one pass over the N(0, 1) rule of
+    :func:`_normal_rule` they share: the gh_order rule, or at sigma = 0 the
+    one node z = 0 of weight 1. The Monte Carlo points must share seed and
     n_samples, so they share one sampler stream: each chunk of normals
     z = ndtri(u) is drawn once, each point adds its moments of it to its
-    row, and those rows are divided by n. One chunk is held at a time, and
-    every kernel call writes into one float64 workspace of _WORK_ROWS x
-    CHUNK_SAMPLES, 2.5 MiB, made per call.
+    row, and those rows are divided by n. In each pass the points share
+    per-sample rows (see :func:`_grouped_moments`): (r z)^2 is formed once
+    per noise level r, L once per dot (p, r), and the moments once per
+    distinct (p, r, a, rho_w), then added to every point that has them.
+    Each point keeps its own chunk-order sums, so it gets the bytes it
+    would get alone. One chunk is held at a time, and every pass writes
+    into one float64 workspace of _WORK_ROWS x CHUNK_SAMPLES, 3.5 MiB,
+    made per call.
     """
     points = list(points)
     table = np.zeros((len(points), 4))
+    rules = {}  # rule order -> {row: scaled constants} of points that draw nothing
     sampled = {}  # row -> scaled constants of each Monte Carlo point
+    streams = set()
     for i, (params, config) in enumerate(points):
         scaled = _scaled(params, config.window)
         if params.sigma and config.quadrature == "monte_carlo":
             sampled[i] = scaled
-            continue
-        nodes, weights = _normal_rule(config.gh_order if params.sigma else 1)
-        table[i] = _moments(nodes, *scaled, weights)
-    streams = {(points[i][1].seed, points[i][1].n_samples) for i in sampled}
+            streams.add((config.seed, config.n_samples))
+        else:
+            rules.setdefault(config.gh_order if params.sigma else 1, {})[i] = scaled
     if len(streams) > 1:
         raise ValueError("Monte Carlo points must share seed and n_samples, got "
                          f"{sorted(streams)}")
+    for order, rule_points in rules.items():
+        nodes, weights = _normal_rule(order)
+        for rows, moments in _grouped_moments(nodes, _group(rule_points), weights):
+            for i in rows:
+                table[i] = moments
     for seed, n in streams:  # none, or the one shared stream
+        groups = _group(sampled)
         work = np.empty((_WORK_ROWS, min(n, CHUNK_SAMPLES)))
         for start in range(0, n, CHUNK_SAMPLES):
             normals = overhauser_samples(seed, min(CHUNK_SAMPLES, n - start), start)
-            for i, point in sampled.items():
-                table[i] += _moments(normals, *point, 1.0, work)
+            for rows, moments in _grouped_moments(normals, groups, 1.0, work):
+                for i in rows:
+                    table[i] += moments
         table[list(sampled)] /= n
     return [_rho_from_moments(row) for row in table]
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from qdcascade.linalg import HBAR_UEV_PS, assert_density_matrix
 from qdcascade.metrics import metrics_from_rho
-from qdcascade.model import PhysicalParams, _moments, _rho_from_moments, _scaled
+from qdcascade.model import PhysicalParams, _group, _grouped_moments, _rho_from_moments, _scaled
 from qdcascade.tomography import _born_matrix, _probabilities
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -209,7 +209,14 @@ def physical_moments(s: float, shifts, t1: float, window, weights, work=None) ->
     (ps): the shifts are read as N(0, 1) values of sigma = 1 ueV, so the
     kernel's constants are r = 2 T1/hbar and rho_w = W/hbar."""
     point = _scaled(PhysicalParams(s=s, t1=t1, sigma=1.0, k=1.0), window)
-    return _moments(shifts, *point, weights, work)
+    return kernel_moments(shifts, point, weights, work)
+
+
+def kernel_moments(z, point, weights, work=None) -> np.ndarray:
+    """The package's moments of one point alone, with point = (p, r, a,
+    rho_w) of _scaled, over the N(0, 1) values z: a one-point group."""
+    ((_, moments),) = _grouped_moments(z, _group({0: point}), weights, work)
+    return moments
 
 
 def fixed_shift_rho(s: float, h_z: float, t1: float, window=None) -> np.ndarray:

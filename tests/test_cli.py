@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from qdcascade.cli import _fmt, main
+from qdcascade.cli import _fmt, build_parser, main
 from qdcascade.linalg import HBAR_UEV_PS
 from qdcascade.model import (
     CHUNK_SAMPLES,
@@ -38,6 +38,23 @@ def write_spec(tmp_path, name="spec.json", **overrides):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+class TestParser:
+    def test_one_parser_per_process_reads_as_a_fresh_one(self, tmp_path, capsys):
+        # Every main() call in a process reads the one cached parser, so a
+        # run before it must leave help text and usage errors as a freshly
+        # built parser prints them.
+        assert build_parser() is build_parser()
+        assert main(["simulate", str(write_spec(tmp_path)), "--out", str(tmp_path / "o.json")]) == 0
+        printed = []
+        for parser in (build_parser(), build_parser.__wrapped__()):
+            for argv in (["--help"], ["sweep", "--help"], ["simulate"], ["bogus"]):
+                with pytest.raises(SystemExit) as exit_info:
+                    parser.parse_args(argv)
+                printed.append((exit_info.value.code, capsys.readouterr()))
+        assert printed[:4] == printed[4:]
+        assert [code for code, _ in printed[:4]] == [0, 0, 2, 2]
 
 
 class TestSimulate:
@@ -90,6 +107,20 @@ class TestSimulate:
         matrix = np.array([[complex(re, im) for re, im in row] for row in dm["matrix"]])
         assert matrix.shape == (4, 4)
         assert abs(np.trace(matrix) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("outputs", [["metrics"], ["closed_form"], ["metrics", "closed_form"],
+                                         ["density_matrix"], ["both"], ["closed_form", "both"]])
+    def test_outputs_add_only_the_density_matrix(self, tmp_path, outputs):
+        # metrics and closed_form are always printed, so only density_matrix
+        # and both change the output, by adding the density matrix.
+        default, out = tmp_path / "default.json", tmp_path / "out.json"
+        assert main(["simulate", str(write_spec(tmp_path)), "--out", str(default)]) == 0
+        spec = write_spec(tmp_path, "outputs.json", outputs=outputs)
+        assert main(["simulate", str(spec), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        added = doc.pop("density_matrix", None) is not None
+        assert added == any(mode in ("density_matrix", "both") for mode in outputs)
+        assert doc == json.loads(default.read_text(encoding="utf-8"))
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         spec = write_spec(

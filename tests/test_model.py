@@ -21,6 +21,7 @@ from conftest import (
     exciton_eigensystem,
     fidelity_phi_plus,
     fixed_shift_rho,
+    kernel_moments,
     outer_product_rho,
     physical_moments,
     propagate_rho,
@@ -47,7 +48,6 @@ from qdcascade.model import (
 from qdcascade.model import (
     _WORK_ROWS,
     CHUNK_SAMPLES,
-    _moments,
     _normal_rule,
     _philox,
     _rho_from_moments,
@@ -441,7 +441,7 @@ class TestMomentAverage:
         config = SimConfig(n_samples=3_000, seed=17, window=window, quadrature=quadrature)
         if quadrature == "gauss_hermite":
             nodes, weights = _normal_rule(config.gh_order)
-            m = _moments(nodes, *_scaled(params, window), weights)
+            m = kernel_moments(nodes, _scaled(params, window), weights)
         else:
             m = per_point_moments(params, config)
         fidelity = metrics_from_rho(_rho_from_moments(m)).fidelity
@@ -682,7 +682,7 @@ class TestMonteCarloRho:
         x, w = np.polynomial.hermite.hermgauss(24)
         fresh_nodes, fresh_weights = np.sqrt(2.0) * x, w / np.sqrt(np.pi)
         assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
-        uncached = _rho_from_moments(_moments(fresh_nodes, *_scaled(params, None), fresh_weights))
+        uncached = _rho_from_moments(kernel_moments(fresh_nodes, _scaled(params, None), fresh_weights))
         assert np.array_equal(first, uncached)
         assert np.array_equal(monte_carlo_rho(params, config), first)
 
@@ -787,7 +787,7 @@ def per_point_moments(params, config):
     point = _scaled(params, config.window)
     for start in range(0, n, CHUNK_SAMPLES):
         normals = overhauser_samples(config.seed, min(CHUNK_SAMPLES, n - start), start)
-        sums += _moments(normals, *point, 1.0)
+        sums += kernel_moments(normals, point, 1.0)
     return sums / n
 
 
@@ -802,19 +802,51 @@ class TestMonteCarloRhos:
         (0.0, 0.05, 1e-3, "monte_carlo"),
         (1.2, 0.0, None, "gauss_hermite"),
         (0.4, 0.41, 3000.0, "monte_carlo"),
+        # Points that share the grid's per-sample rows: r = 2 T1 sigma/hbar
+        # without s, one dot at several windows, exact duplicates, and
+        # s = -0.0 next to s = 0, whose L is shared and whose last moment's
+        # signed zero is not.
+        (1.0, 0.41, None, "monte_carlo"),
+        (3.0, 0.41, 350.0, "monte_carlo"),
+        (0.4, 0.41, 100.0, "monte_carlo"),
+        (0.4, 0.41, 350.0, "monte_carlo"),
+        (0.4, 0.41, None, "monte_carlo"),
+        (3.0, 1.0, 350.0, "monte_carlo"),
+        (-0.0, 0.05, 1e-3, "monte_carlo"),
+        (0.0, 0.3, 256.0, "gauss_hermite"),
+        (-0.0, 0.3, 256.0, "gauss_hermite"),
+        (0.7, 0.3, 256.0, "gauss_hermite"),
+        (0.7, 0.3, None, "gauss_hermite"),
+    ]
+    # Where (r z)^2 overflows, L is 0, in the rows the point shares too.
+    HUGE_SIGMA_POINTS = [
+        (0.4, 1e300, None, "monte_carlo"),
+        (0.4, 1e300, 350.0, "monte_carlo"),
+        (1.0, 1e300, None, "monte_carlo"),
+        (0.4, 1e300, None, "gauss_hermite"),
     ]
 
     @staticmethod
-    def points(n, seed=2024):
+    def points(n, seed=2024, table=POINTS):
         return [(PhysicalParams(s=s, t1=430.0, sigma=sigma, k=0.99),
                  SimConfig(n_samples=n, seed=seed + (quadrature == "gauss_hermite"),
                            window=window, quadrature=quadrature))
-                for s, sigma, window, quadrature in TestMonteCarloRhos.POINTS]
+                for s, sigma, window, quadrature in table]
 
     @pytest.mark.parametrize("n", [1, CHUNK_SAMPLES - 1, CHUNK_SAMPLES + 1,
                                    3 * CHUNK_SAMPLES + 17])
     def test_equals_per_point_bytes(self, n):
-        points = self.points(n)
+        self.assert_per_point_bytes(self.points(n))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, CHUNK_SAMPLES - 1, CHUNK_SAMPLES + 1,
+                                   3 * CHUNK_SAMPLES + 17])
+    def test_overflowing_point_equals_per_point_bytes(self, n):
+        huge = self.points(n, table=self.HUGE_SIGMA_POINTS)
+        self.assert_per_point_bytes(huge[:1] + self.points(n) + huge[1:])
+
+    @staticmethod
+    def assert_per_point_bytes(points):
         rhos = monte_carlo_rhos(points)
         assert len(rhos) == len(points)
         for (params, config), rho in zip(points, rhos):
@@ -851,6 +883,20 @@ class TestMonteCarloRhos:
         finally:
             tracemalloc.stop()
         assert len(rhos) == 84
+        assert peak < 32 * 2**20
+
+    def test_memory_bounded_for_a_window_sweep_grid(self):
+        # The six windows of the benchmark's window-sweep, on one dot.
+        params = PhysicalParams(s=0.4, t1=430.0, sigma=0.41, k=1.0)
+        points = [(params, SimConfig(n_samples=200_000, seed=9, window=window))
+                  for window in (100.0, 200.0, 350.0, 500.0, 1000.0, 3000.0)]
+        tracemalloc.start()
+        try:
+            rhos = monte_carlo_rhos(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rhos) == 6
         assert peak < 32 * 2**20
 
 
@@ -971,7 +1017,7 @@ class TestSigmaRange:
         if rule == "gauss_hermite":
             config = replace(self.CONFIGS[rule], window=window)
             nodes, weights = _normal_rule(33)
-            moments = _moments(nodes, *_scaled(params, window), weights)
+            moments = kernel_moments(nodes, _scaled(params, window), weights)
         else:
             config = SimConfig(n_samples=1_000, seed=3, window=window)
             moments = per_point_moments(params, config)
