@@ -23,6 +23,12 @@ class InvalidDensityMatrixError(ValueError):
     """Matrix is not Hermitian, unit-trace and positive within tolerance."""
 
 
+# The (i, j), i <= j, of the Hermiticity check: all ten, and the six inside
+# the {HH, VV} and {HV, VH} blocks.
+_UPPER_PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))
+_X_BLOCK_PAIRS = ((0, 0), (0, 3), (3, 3), (1, 1), (1, 2), (2, 2))
+
+
 def _is_x_state(e) -> bool:
     """Whether the eight entries of the 4x4 nested list e between the
     {HH, VV} and {HV, VH} blocks are exact zeros."""
@@ -40,29 +46,34 @@ def assert_density_matrix(rho) -> np.ndarray:
 
     Checks the 4x4 shape, finiteness, Hermiticity (HERMITICITY_TOL on
     max |rho - rho^dag|), unit trace (TRACE_TOL) and positivity (PSD_TOL);
-    raises InvalidDensityMatrixError on the first violation. The smallest
-    eigenvalue of an X state, whose eight entries between the {HH, VV} and
-    {HV, VH} blocks are exact zeros, is read from those two 2x2 blocks in
-    closed form, (x + y)/2 - sqrt(((x - y)/2)^2 + |z|^2); any other state
-    goes through np.linalg.eigvalsh.
+    raises InvalidDensityMatrixError on the first violation. An X state,
+    whose eight entries between the {HH, VV} and {HV, VH} blocks are exact
+    zeros, is read from those two 2x2 blocks: the Hermiticity deviation
+    from their six upper entries, and the smallest eigenvalue in closed
+    form, (x + y)/2 - sqrt(((x - y)/2)^2 + |z|^2). Any other state takes
+    the deviation over all ten upper entries and goes through
+    np.linalg.eigvalsh.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidDensityMatrixError(f"density matrix must be 4x4, got shape {rho.shape}")
     e = rho.tolist()
+    x_state = _is_x_state(e)
     if not all(map(cmath.isfinite, e[0] + e[1] + e[2] + e[3])):
         raise InvalidDensityMatrixError("density matrix has non-finite entries")
+    # An X state's eight exact zeros add deviations of 0 to the max.
+    pairs = _X_BLOCK_PAIRS if x_state else _UPPER_PAIRS
     try:
-        dev = max(abs(e[i][j] - e[j][i].conjugate()) for i in range(4) for j in range(i, 4))
+        dev = max([abs(e[i][j] - e[j][i].conjugate()) for i, j in pairs])
     except OverflowError:  # a modulus beyond the largest double, inf in numpy
         dev = math.inf
     if dev > HERMITICITY_TOL:
         raise InvalidDensityMatrixError(f"not Hermitian (deviation {dev:.3e})")
     # Summed in the pairing of np.trace, whose float64 the message shows.
-    trace = np.float64((e[0][0].real + e[1][1].real) + (e[2][2].real + e[3][3].real))
+    trace = (e[0][0].real + e[1][1].real) + (e[2][2].real + e[3][3].real)
     if abs(trace - 1.0) > TRACE_TOL:
-        raise InvalidDensityMatrixError(f"trace is {trace!r}, expected 1")
-    if _is_x_state(e):
+        raise InvalidDensityMatrixError(f"trace is {np.float64(trace)!r}, expected 1")
+    if x_state:
         w_min = min(_smallest_block_eigenvalue(e[0][0].real, e[3][3].real, e[3][0]),
                     _smallest_block_eigenvalue(e[1][1].real, e[2][2].real, e[2][1]))
     else:

@@ -70,8 +70,15 @@ def metrics_from_rho(rho) -> EntanglementMetrics:
     rho = assert_density_matrix(rho)
     e = rho.tolist()
     fidelity = 0.5 * (e[0][0] + e[0][3] + e[3][0] + e[3][3]).real
+    if _is_x_state(e):
+        # The eight non-zero products in row-major order; a product of exact
+        # zeros adds +-0 to a real part that is never -0, so P keeps its bits.
+        purity = (e[0][0] * e[0][0] + e[0][3] * e[3][0] + e[1][1] * e[1][1] + e[1][2] * e[2][1]
+                  + e[2][1] * e[1][2] + e[2][2] * e[2][2] + e[3][0] * e[0][3] + e[3][3] * e[3][3]).real
+    else:
+        purity = sum(e[i][j] * e[j][i] for i in range(4) for j in range(4)).real
     return EntanglementMetrics(
         fidelity=min(max(fidelity, 0.0), 1.0),
-        purity=min(sum(e[i][j] * e[j][i] for i in range(4) for j in range(4)).real, 1.0),
+        purity=min(purity, 1.0),
         concurrence=min(_concurrence(rho, e), 1.0),
     )

@@ -252,8 +252,8 @@ CHUNK_SAMPLES = 65_536
 
 # Rows of the kernel workspace. Rows 0-2 are the summed rows A, M and K of
 # _moments; a window's rows 3 and 4 hold beta, then 1 - M, and t = tan(beta)
-# and tau. Rows 5 and 6 hold the rows (r z)^2 and L that _grouped_moments
-# shares between points.
+# and tau. Rows 5 and 6 hold the rows (r z)^2 and L of _lorentz, which
+# _grouped_moments shares between points.
 _WORK_ROWS = 7
 _BETA_RANGE = (sys.float_info.min, sys.float_info.max)
 
@@ -276,16 +276,15 @@ def _moments(lorentz: np.ndarray, z: np.ndarray, p: float, a: float, rho_w: floa
              weights, work: np.ndarray) -> np.ndarray:
     """The four weighted sums <1>, <Re g>, <x^2 (1 - Re g)> and <Im g x>
     the state reads, over N(0, 1) values z of the shifts h = sigma z, given
-    their Lorentzian row L = 1/(1 + p^2 + (r z)^2) (see
-    :func:`_grouped_moments`).
+    their Lorentzian row L = 1/(1 + p^2 + (r z)^2) (see :func:`_lorentz`).
 
     With p, r, a and rho_w from :func:`_scaled`, E = sqrt(s^2/4 + h^2) and
     x = s/(2E), g is the average of exp(-i 2E t/hbar) over the delay
     density exp(-t/T1)/T1, truncated to [0, W] and renormalized when a
     window W is given. Every sum is even in z, so z and -z give the same
     bytes and the odd sums <xy (1 - Re g)> and <Im g y>, y = h/E, are 0.
-    weights is an array matching z or a scalar; an array multiplies the
-    summed rows, a scalar the sums. lorentz is only read. Per-sample
+    weights is a numpy array matching z or a scalar; an array multiplies
+    the summed rows, a scalar the sums. lorentz is only read. Per-sample
     intermediates, none complex, go into rows 0-4 of work[:, :n], float64
     with C-contiguous rows of at least n = z.size columns. The sums are one
     ufunc sum over a block of rows, not a matrix product, which would hand
@@ -330,11 +329,12 @@ def _moments(lorentz: np.ndarray, z: np.ndarray, p: float, a: float, rho_w: floa
         np.multiply(lorentz, beta, out=rows[0])  # A = L (1 - M)
     else:
         rows = lorentz[np.newaxis]  # A = L
-    if np.ndim(weights):
+    # np.add.reduce is the sum method without its Python wrapper.
+    if isinstance(weights, np.ndarray):
         rows = np.multiply(rows, weights, out=work[:len(rows), :n])
-        sums, total = rows.sum(axis=1), weights.sum()
+        sums, total = np.add.reduce(rows, 1), np.add.reduce(weights)
     else:
-        sums, total = weights * rows.sum(axis=1), weights * n
+        sums, total = weights * np.add.reduce(rows, 1), weights * n
     s_a, s_m, s_k = sums.tolist() + [0.0] * (3 - sums.size)
     return np.array([total, s_a + s_m, p * p * s_a, -p * (s_a + s_k)])
 
@@ -353,25 +353,34 @@ def _group(points: dict) -> dict:
     return groups
 
 
+def _lorentz(z: np.ndarray, r: float, p: float, work: np.ndarray, squared: bool = False) -> np.ndarray:
+    """The Lorentzian row L = 1/(1 + p^2 + (r z)^2) of :func:`_moments`,
+    formed into row 6 of the workspace work (as for :func:`_moments`, with
+    _WORK_ROWS rows) from (r z)^2 in row 5. Row 5 is formed first, unless
+    squared says that it already holds (r z)^2 of this r and z."""
+    n = z.size
+    square, lorentz = work[5, :n], work[6, :n]
+    if not squared:
+        np.multiply(z, r, out=square)  # r z
+        np.multiply(square, square, out=square)
+    np.add(square, 1.0 + p * p, out=lorentz)
+    np.reciprocal(lorentz, out=lorentz)  # L
+    return lorentz
+
+
 def _grouped_moments(z: np.ndarray, groups: dict, weights, work: np.ndarray | None = None):
     """Yield (table rows, moments of :func:`_moments`) for each distinct
     (p, r, a, rho_w) of groups (see :func:`_group`), over the N(0, 1)
-    values z with weights. (r z)^2 is formed once per r, into row 5 of the
-    workspace, and L = 1/(1 + p^2 + (r z)^2) once per (p, r), into row 6.
-    These are the same operations on the same inputs as for a point alone,
-    so every point gets the bytes it would get alone. work is as for
-    :func:`_moments`, with _WORK_ROWS rows, and is made when not given.
+    values z with weights. Through :func:`_lorentz`, (r z)^2 is formed once
+    per r and L once per (p, r). These are the same operations on the same
+    inputs as for a point alone, so every point gets the bytes it would get
+    alone. work is as for :func:`_lorentz`, and is made when not given.
     """
-    n = z.size
     if work is None:
-        work = np.empty((_WORK_ROWS, n))
-    square, lorentz = work[5, :n], work[6, :n]
+        work = np.empty((_WORK_ROWS, z.size))
     for r, by_p in groups.items():
-        np.multiply(z, r, out=square)  # r z
-        np.multiply(square, square, out=square)
-        for (p, _), by_window in by_p.items():
-            np.add(square, 1.0 + p * p, out=lorentz)
-            np.reciprocal(lorentz, out=lorentz)  # L
+        for j, ((p, _), by_window) in enumerate(by_p.items()):
+            lorentz = _lorentz(z, r, p, work, squared=j > 0)
             for (a, rho_w), rows in by_window.items():
                 yield rows, _moments(lorentz, z, p, a, rho_w, weights, work)
 
@@ -391,7 +400,12 @@ def _rho_from_moments(m: np.ndarray) -> np.ndarray:
     a = 0.25 * (one + re_g + loss_x2)
     b = 0.25 * (one - re_g - loss_x2)
     d = complex(0.25 * (one + re_g - loss_x2), 0.5 * im_g_x)
-    return np.array([[a, 0, 0, d], [0, b, -b, 0], [0, -b, b, 0], [d.conjugate(), 0, 0, a]])
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = rho[3, 3] = a
+    rho[1, 1] = rho[2, 2] = b
+    rho[1, 2] = rho[2, 1] = -b
+    rho[0, 3], rho[3, 0] = d, d.conjugate()
+    return rho
 
 
 def overhauser_samples(seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -474,41 +488,39 @@ def monte_carlo_rhos(points) -> list[np.ndarray]:
     """:func:`monte_carlo_rho` for each (PhysicalParams, SimConfig) pair.
 
     Each point owns one row of a float (points, 4) table of moments, and
-    the states are read from the table alone. Points that draw nothing
-    write their rows in one pass over the N(0, 1) rule of
-    :func:`_normal_rule` they share: the gh_order rule, or at sigma = 0 the
-    one node z = 0 of weight 1. The Monte Carlo points must share seed and
-    n_samples, so they share one sampler stream: each chunk of normals
-    z = ndtri(u) is drawn once, each point adds its moments of it to its
-    row, and those rows are divided by n. In each pass the points share
-    per-sample rows (see :func:`_grouped_moments`): (r z)^2 is formed once
-    per noise level r, L once per dot (p, r), and the moments once per
-    distinct (p, r, a, rho_w), then added to every point that has them.
-    Each point keeps its own chunk-order sums, so it gets the bytes it
-    would get alone. One chunk is held at a time, and every pass writes
-    into one float64 workspace of _WORK_ROWS x CHUNK_SAMPLES, 3.5 MiB,
-    made per call.
+    the states are read from the table alone. A point that draws nothing
+    forms its own (r z)^2 and L rows (see :func:`_lorentz`) and writes its
+    moments over the N(0, 1) rule of :func:`_normal_rule`: the gh_order
+    rule, or at sigma = 0 the one node z = 0 of weight 1. The Monte Carlo
+    points must share seed and n_samples, so they share one sampler
+    stream: each chunk of normals z = ndtri(u) is drawn once, each point
+    adds its moments of it to its row, and those rows are divided by n.
+    Only this stream pass shares per-sample rows between points (see
+    :func:`_grouped_moments`): (r z)^2 is formed once per noise level r, L
+    once per dot (p, r), and the moments once per distinct (p, r, a,
+    rho_w), then added to every point that has them. Each point keeps its
+    own chunk-order sums, so it gets the bytes it would get alone. A rule
+    point writes into a float64 workspace of _WORK_ROWS x its rule's order,
+    at most 3.5 KiB; the stream pass holds one chunk at a time and one
+    workspace of _WORK_ROWS x min(n_samples, CHUNK_SAMPLES), at most
+    3.5 MiB. Both are made per call.
     """
     points = list(points)
     table = np.zeros((len(points), 4))
-    rules = {}  # rule order -> {row: scaled constants} of points that draw nothing
     sampled = {}  # row -> scaled constants of each Monte Carlo point
     streams = set()
     for i, (params, config) in enumerate(points):
-        scaled = _scaled(params, config.window)
+        p, r, a, rho_w = scaled = _scaled(params, config.window)
         if params.sigma and config.quadrature == "monte_carlo":
             sampled[i] = scaled
             streams.add((config.seed, config.n_samples))
-        else:
-            rules.setdefault(config.gh_order if params.sigma else 1, {})[i] = scaled
+            continue
+        nodes, weights = _normal_rule(config.gh_order if params.sigma else 1)
+        work = np.empty((_WORK_ROWS, nodes.size))
+        table[i] = _moments(_lorentz(nodes, r, p, work), nodes, p, a, rho_w, weights, work)
     if len(streams) > 1:
         raise ValueError("Monte Carlo points must share seed and n_samples, got "
                          f"{sorted(streams)}")
-    for order, rule_points in rules.items():
-        nodes, weights = _normal_rule(order)
-        for rows, moments in _grouped_moments(nodes, _group(rule_points), weights):
-            for i in rows:
-                table[i] = moments
     for seed, n in streams:  # none, or the one shared stream
         groups = _group(sampled)
         work = np.empty((_WORK_ROWS, min(n, CHUNK_SAMPLES)))
@@ -527,4 +539,6 @@ def apply_multipair_mixing(rho, k: float) -> np.ndarray:
     _reject_bools(k=k)
     if not 0.0 < k <= 1.0:
         raise ValueError("k must lie in (0, 1]")
-    return k * rho + (1.0 - k) * 0.25 * IDENTITY_4
+    mixed = k * rho
+    mixed += (1.0 - k) * 0.25 * IDENTITY_4
+    return mixed

@@ -1,8 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import IDENTITY_2, random_density_matrix, rk4_unitary, unitary_exp
-from qdcascade.linalg import HBAR_UEV_PS, PSD_TOL, InvalidDensityMatrixError, assert_density_matrix
+from qdcascade.linalg import (
+    HBAR_UEV_PS,
+    HERMITICITY_TOL,
+    PSD_TOL,
+    InvalidDensityMatrixError,
+    _is_x_state,
+    assert_density_matrix,
+)
 from qdcascade.metrics import metrics_from_rho, trace_distance
 from qdcascade.model import apply_multipair_mixing
 from qdcascade.tomography import BasisSetting, simulate_counts, standard_settings
@@ -67,7 +76,9 @@ class TestDensityMatrixValidation:
         assert_density_matrix(random_density_matrix(rng))
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(InvalidDensityMatrixError):
+        # The message shows the trace as numpy's float64.
+        message = f"^{re.escape(f'trace is {np.float64(1.5)!r}, expected 1')}$"
+        with pytest.raises(InvalidDensityMatrixError, match=message):
             assert_density_matrix(np.diag([0.5, 0.5, 0.5, 0.0]))
 
     def test_rejects_non_hermitian(self):
@@ -110,6 +121,33 @@ class TestXStateValidation:
                 rho[position] = bad
                 with pytest.raises(InvalidDensityMatrixError, match="non-finite entries"):
                     assert_density_matrix(rho)
+
+    # A defect in one of the eight block entries: an imaginary part on the
+    # diagonal (deviation twice its size) or an asymmetric HH-VV or HV-VH
+    # coherence, above and below HERMITICITY_TOL.
+    @pytest.mark.parametrize("position", [(0, 0), (0, 3), (3, 0), (3, 3),
+                                          (1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("size", [3e-10, 6e-11, 4e-11])
+    def test_hermiticity_defect_in_a_block(self, position, size):
+        i, j = position
+        defects = [1j * size, -1j * size] if i == j else [size, 1j * size, -size * (1 + 1j)]
+        for defect in defects:
+            rho = _x_state(0.2 + 0.05j)
+            rho[i, j] += defect
+            deviation = np.abs(rho - rho.conj().T).max()
+            # The same defect with a Hermitian pair off the X entries, which
+            # takes the general route.
+            general = rho.copy()
+            general[0, 1] = general[1, 0] = 1e-300
+            assert _is_x_state(rho.tolist()) and not _is_x_state(general.tolist())
+            assert deviation == np.abs(general - general.conj().T).max()
+            for state in (rho, general):
+                if deviation > HERMITICITY_TOL:
+                    message = f"^{re.escape(f'not Hermitian (deviation {deviation:.3e})')}$"
+                    with pytest.raises(InvalidDensityMatrixError, match=message):
+                        assert_density_matrix(state)
+                else:
+                    assert_density_matrix(state)
 
     @pytest.mark.parametrize("block", [(0, 3), (1, 2)])
     @pytest.mark.parametrize("phase", [0.0, 1.0, -2.5])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,12 @@ from conftest import (
     random_unitary,
     x_state_concurrence_oracle,
 )
-from qdcascade.linalg import InvalidDensityMatrixError, _smallest_block_eigenvalue, assert_density_matrix
+from qdcascade.linalg import (
+    IDENTITY_4,
+    InvalidDensityMatrixError,
+    _smallest_block_eigenvalue,
+    assert_density_matrix,
+)
 from qdcascade.metrics import metrics_from_rho, trace_distance
 from qdcascade.model import (
     PhysicalParams,
@@ -260,15 +265,20 @@ X_STATES = {"share": UNIT, "outer": BLOCK, "inner": BLOCK}
 PAIR_FRACTIONS = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
 
 
-def _x_state(share, outer, inner, k) -> np.ndarray:
+def _x_blocks(share, outer, inner) -> np.ndarray:
     """The X state with a share of the trace in its {HH, VV} block and the
-    rest in its {HV, VH} block, mixed with the single-pair fraction k."""
+    rest in its {HV, VH} block."""
     rho = np.zeros((4, 4), dtype=complex)
     for (i, j), weight, (u, t, phase) in (((0, 3), share, outer), ((1, 2), 1.0 - share, inner)):
         rho[i, i], rho[j, j] = weight * u, weight * (1.0 - u)
         rho[i, j] = t * math.sqrt(rho[i, i].real * rho[j, j].real) * cmath.exp(1j * phase)
         rho[j, i] = rho[i, j].conjugate()
-    return apply_multipair_mixing(rho, k)
+    return rho
+
+
+def _x_state(share, outer, inner, k) -> np.ndarray:
+    """:func:`_x_blocks` mixed with the single-pair fraction k."""
+    return apply_multipair_mixing(_x_blocks(share, outer, inner), k)
 
 
 class TestXStates:
@@ -283,6 +293,24 @@ class TestXStates:
         assert abs(m.fidelity - fidelity_oracle(rho)) <= 1e-14
         assert abs(m.purity - purity_oracle(rho)) <= 1e-14
         assert abs(m.concurrence - x_state_concurrence_oracle(rho)) <= 1e-14
+
+    # Bit for bit, also where a block entry holds a signed zero: P is the
+    # row-major sum over all 16 products, and the mixing is one expression.
+    # The examples are states whose P moves in its last bit under another
+    # order of the same eight products.
+    @hypothesis_settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**X_STATES, k=PAIR_FRACTIONS)
+    @example(0.895, (0.423, 0.59, -2.853), (0.673, 0.919, 1.961), 0.886)
+    @example(0.892, (0.419, 0.265, -2.881), (0.289, 0.781, -2.879), 0.165)
+    @example(0.305, (0.036, 0.944, 1.516), (0.377, 0.875, 1.578), 0.465)
+    def test_purity_and_mixing_keep_their_bits(self, share, outer, inner, k):
+        rho = _x_blocks(share, outer, inner)
+        mixed = apply_multipair_mixing(rho, k)
+        assert mixed.tobytes() == (k * rho + (1 - k) * 0.25 * IDENTITY_4).tobytes()
+        for state in (rho, mixed):
+            e = state.tolist()
+            total = sum(e[i][j] * e[j][i] for i in range(4) for j in range(4))
+            assert metrics_from_rho(state).purity.hex() == min(total.real, 1.0).hex()
 
     @hypothesis_settings(max_examples=300, deadline=None, derandomize=True)
     @given(**X_STATES, k=PAIR_FRACTIONS)

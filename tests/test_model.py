@@ -854,6 +854,38 @@ class TestMonteCarloRhos:
             if params.sigma > 0 and config.quadrature == "monte_carlo":
                 assert rho.tobytes() == _rho_from_moments(per_point_moments(params, config)).tobytes()
 
+    # Points that draw nothing, in one call: Gauss-Hermite orders 3, 32 and
+    # 33 (whose middle node is z = 0), sigma = 0 (the order-1 rule), exact
+    # duplicates, and s = -0.0 next to s = 0.
+    RULE_POINTS = [
+        (0.4, 0.41, None, 3),
+        (0.4, 0.41, None, 32),
+        (0.4, 0.41, 350.0, 33),
+        (0.0, 0.41, 350.0, 33),
+        (-0.0, 0.41, 350.0, 33),
+        (0.4, 0.41, None, 32),
+        (0.7, 1.0, 256.0, 32),
+        (1.2, 0.0, None, 32),
+        (1.2, 0.0, 256.0, 33),
+        (-0.0, 0.0, None, 3),
+        (0.7, 1.0, 256.0, 32),
+    ]
+
+    def test_rule_points_equal_the_kernel_bytes(self):
+        # Each rule point forms its own rows: its state is the kernel's
+        # moments of that point alone over its rule.
+        points = [(PhysicalParams(s=s, t1=430.0, sigma=sigma, k=0.99),
+                   SimConfig(window=window, quadrature="gauss_hermite", gh_order=order))
+                  for s, sigma, window, order in self.RULE_POINTS]
+        rhos = monte_carlo_rhos(points)
+        assert len(rhos) == len(points)
+        for (params, config), rho in zip(points, rhos):
+            nodes, weights = _normal_rule(config.gh_order if params.sigma else 1)
+            moments = kernel_moments(nodes, _scaled(params, config.window), weights)
+            assert rho.tobytes() == _rho_from_moments(moments).tobytes()
+        # The signed zero of s = -0.0 reaches its last moment.
+        assert rhos[3].tobytes() != rhos[4].tobytes()
+
     def test_empty(self):
         assert monte_carlo_rhos([]) == []
 
